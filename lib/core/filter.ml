@@ -221,15 +221,9 @@ let key_of_conjunct = function
       | _ -> None)
   | _ -> None
 
-let dispatch_key t =
-  match normalize t with
-  | True | False -> None
-  | t' ->
-      Option.map key_code (List.find_map key_of_conjunct (flat_and t' []))
-
 (* Every keyable equality the filter's top-level conjunction implies, for
    the dispatcher's merged decision tree (one key per demux dimension the
-   filter pins).  Subsumes [dispatch_key]: that is the first of these. *)
+   filter pins). *)
 let key_conjuncts t =
   match normalize t with
   | True | False -> []
@@ -251,7 +245,7 @@ let keys_exact t =
 (* ---- Flow demux extraction --------------------------------------------- *)
 
 (* The demultiplexing fields of a raw frame, read once.  This is the one
-   shared extractor behind both the index's context keys (EtherType) and
+   shared extractor behind both the tree's context keys (EtherType) and
    the dispatcher's flow signatures: every field the steady-state demux
    decision can depend on, and nothing else.  [-1] marks an absent
    field. *)
@@ -352,38 +346,16 @@ let flow_signature ctx =
   | _ -> None
 
 (* The dispatch keys a packet context *presents*, one per demux
-   dimension that is available at the current layer.  The complement of
-   [dispatch_key]: a filter keyed on dimension D with value v evaluates
-   to false on every context that does not present (D, v) — either the
+   dimension that is available at the current layer: the dispatcher
+   hands a per-event scratch array of [num_key_dims] slots indexed by
+   key tag ([key_tag], the [k lsr 16] of an encoded key) and the probe
+   writes each dimension's raw value, [-1] for absent, allocating
+   nothing.  A filter keyed on dimension D with value v evaluates to
+   false on every context that does not present (D, v) — either the
    dimension is unavailable (its test reads Unavailable, hence false) or
    it carries a different value (the equality fails).  That invariant is
-   what lets the dispatcher skip non-matching buckets without changing
-   delivery. *)
-let context_keys ctx =
-  let keys = [] in
-  let keys =
-    if ctx.Pctx.dst_port >= 0 then dst_port_key ctx.Pctx.dst_port :: keys
-    else keys
-  in
-  let keys =
-    if ctx.Pctx.src_port >= 0 then src_port_key ctx.Pctx.src_port :: keys
-    else keys
-  in
-  let keys =
-    match ctx.Pctx.ip with
-    | Some h -> ip_proto_key h.Proto.Ipv4.proto :: keys
-    | None -> keys
-  in
-  let et = frame_ether_type (View.ro (Mbuf.view ctx.Pctx.pkt)) in
-  if et >= 0 then ether_type_key et :: keys else keys
-
-(* Allocation-free variant of [context_keys]: the dispatcher hands a
-   per-event scratch array of [num_key_dims] slots indexed by key tag
-   ([key_tag], the [k lsr 16] of an encoded key) and the probe writes
-   each dimension's raw value, [-1] for absent.  Reads the same four
-   fields as [context_keys], so [read_context_keys ctx dst] and
-   [context_keys ctx] present exactly the same (dimension, value)
-   pairs — the property the key-extraction equivalence test pins. *)
+   what lets the dispatcher prune non-matching tree paths without
+   changing delivery. *)
 let num_key_dims = 4
 
 let read_context_keys ctx dst =

@@ -150,7 +150,7 @@ let create graph ip =
     Spin.Dispatcher.install
       (Graph.recv_event (Ip_mgr.node ip))
       ~guard:(fun ctx -> proto_guard t ctx)
-      ~key:(Filter.ip_proto_key Proto.Ipv4.proto_udp)
+      ~keys:[ Filter.ip_proto_key Proto.Ipv4.proto_udp ]
       (* cacheable: the guard reads the IP protocol number and UDP ports
          (flow-signature fields) plus [t.excluded] — [exclude_ports]
          touches the event's generation when that list changes *)
@@ -193,66 +193,59 @@ let unbind t ep = Spin.Sharded.Table.remove t.binds (Endpoint.port ep)
 
 let port_guard ep ctx = ctx.Pctx.dst_port = Endpoint.port ep
 
+(* Every application receive install: a graph edge labelled with the
+   endpoint's port (plus [edge]) and a handler charged [cost], by default
+   the layer's application cost. *)
+let install_app t ep ~edge ?keys ?exact ?cacheable ?gcost
+    ?(cost = t.costs.Netsim.Costs.layer.app) guard fn =
+  Graph.add_edge t.graph ~parent:t.node
+    ~child:(Endpoint.owner ep)
+    ~label:(Printf.sprintf "port=%d%s" (Endpoint.port ep) edge);
+  Spin.Dispatcher.install (Graph.recv_event t.node) ~guard ?keys ?exact
+    ?cacheable ?gcost ~label:(Endpoint.owner ep) ~cost fn
+
 (* Attach an application receive handler for an endpoint.  The guard the
    manager installs is derived from the endpoint — the application cannot
    broaden it.  The endpoint's port doubles as the handler's dispatch
    key, so a raise only evaluates the guards bound to the datagram's own
    destination port. *)
 let install_recv t ep ?cost fn =
-  let cost = match cost with Some c -> c | None -> t.costs.Netsim.Costs.layer.app in
-  Graph.add_edge t.graph ~parent:t.node
-    ~child:(Endpoint.owner ep)
-    ~label:(Printf.sprintf "port=%d" (Endpoint.port ep));
-  Spin.Dispatcher.install (Graph.recv_event t.node) ~guard:(port_guard ep)
-    ~key:(Filter.dst_port_key (Endpoint.port ep))
-    ~exact:true ~cacheable:true ~label:(Endpoint.owner ep) ~cost fn
+  install_app t ep ~edge:"" ?cost
+    ~keys:[ Filter.dst_port_key (Endpoint.port ep) ]
+    ~exact:true ~cacheable:true (port_guard ep) fn
 
-(* The same handler without a dispatch key: every raise scans its guard
-   linearly.  Exists for the guard-scaling ablation — this is what every
-   install was before the demux index. *)
+(* The same handler without a dispatch key: it is a residual at every
+   leaf of the event's dispatch tree, so every raise evaluates its guard.
+   Exists for the guard-scaling ablation — this is what every install
+   was before dispatch keys. *)
 let install_recv_linear t ep ?cost fn =
-  let cost = match cost with Some c -> c | None -> t.costs.Netsim.Costs.layer.app in
-  Graph.add_edge t.graph ~parent:t.node
-    ~child:(Endpoint.owner ep)
-    ~label:(Printf.sprintf "port=%d(linear)" (Endpoint.port ep));
-  Spin.Dispatcher.install (Graph.recv_event t.node) ~guard:(port_guard ep)
-    ~cacheable:true ~label:(Endpoint.owner ep) ~cost fn
+  install_app t ep ~edge:"(linear)" ?cost ~cacheable:true (port_guard ep) fn
 
-(* Receive handler demultiplexed by an *interpreted* packet filter
-   (see Filter): the manager conjoins the endpoint's port guard — the
-   application cannot broaden its visibility — and charges the filter's
-   interpretation cost on every arriving datagram. *)
+(* Receive handler demultiplexed by a packet filter (see Filter): the
+   manager conjoins the endpoint's port guard — the application cannot
+   broaden its visibility — and charges [gcost] on every arriving
+   datagram. *)
+let install_filtered t ep filter ~edge ~gcost ?cost matches fn =
+  let full = Filter.And (Filter.dst_port_is (Endpoint.port ep), filter) in
+  install_app t ep ~edge ?cost
+    ~keys:(Filter.dst_port_key (Endpoint.port ep) :: Filter.key_conjuncts filter)
+    ~exact:(Filter.keys_exact full) ~gcost
+    (fun ctx -> port_guard ep ctx && matches ctx)
+    fn
+
+(* The filter *interpreted*: charged its [eval_cost]. *)
 let install_recv_filtered t ep filter ?cost fn =
-  let cost = match cost with Some c -> c | None -> t.costs.Netsim.Costs.layer.app in
-  Graph.add_edge t.graph ~parent:t.node
-    ~child:(Endpoint.owner ep)
-    ~label:(Fmt.str "port=%d filter=%a" (Endpoint.port ep) Filter.pp filter);
-  let full = Filter.And (Filter.dst_port_is (Endpoint.port ep), filter) in
-  Spin.Dispatcher.install (Graph.recv_event t.node)
-    ~guard:(fun ctx -> port_guard ep ctx && Filter.eval filter ctx)
-    ~key:(Filter.dst_port_key (Endpoint.port ep))
-    ~keys:(Filter.key_conjuncts filter)
-    ~exact:(Filter.keys_exact full)
-    ~label:(Endpoint.owner ep) ~gcost:(Filter.eval_cost filter) ~cost fn
+  install_filtered t ep filter ?cost
+    ~edge:(Fmt.str " filter=%a" Filter.pp filter)
+    ~gcost:(Filter.eval_cost filter) (Filter.eval filter) fn
 
-(* The filtered install with the filter *compiled* instead of
-   interpreted: same delivery semantics (run ≡ eval), but the per-packet
-   gcost drops from [eval_cost] to [compiled_cost]. *)
+(* The filter *compiled*: same delivery semantics (run ≡ eval), but the
+   per-packet gcost drops from [eval_cost] to [compiled_cost]. *)
 let install_recv_compiled t ep filter ?cost fn =
-  let cost = match cost with Some c -> c | None -> t.costs.Netsim.Costs.layer.app in
   let prog = Filter.compile filter in
-  Graph.add_edge t.graph ~parent:t.node
-    ~child:(Endpoint.owner ep)
-    ~label:
-      (Fmt.str "port=%d compiled[%d]" (Endpoint.port ep)
-         (Filter.program_length prog));
-  let full = Filter.And (Filter.dst_port_is (Endpoint.port ep), filter) in
-  Spin.Dispatcher.install (Graph.recv_event t.node)
-    ~guard:(fun ctx -> port_guard ep ctx && Filter.run prog ctx)
-    ~key:(Filter.dst_port_key (Endpoint.port ep))
-    ~keys:(Filter.key_conjuncts filter)
-    ~exact:(Filter.keys_exact full)
-    ~label:(Endpoint.owner ep) ~gcost:(Filter.compiled_cost prog) ~cost fn
+  install_filtered t ep filter ?cost
+    ~edge:(Printf.sprintf " compiled[%d]" (Filter.program_length prog))
+    ~gcost:(Filter.compiled_cost prog) (Filter.run prog) fn
 
 (* Interrupt-level (EPHEMERAL) receive handler with optional budget. *)
 let install_recv_ephemeral t ep ?budget fn =
@@ -261,7 +254,7 @@ let install_recv_ephemeral t ep ?budget fn =
     ~label:(Printf.sprintf "port=%d(eph)" (Endpoint.port ep));
   Spin.Dispatcher.install_ephemeral (Graph.recv_event t.node)
     ~guard:(port_guard ep)
-    ~key:(Filter.dst_port_key (Endpoint.port ep))
+    ~keys:[ Filter.dst_port_key (Endpoint.port ep) ]
     ~exact:true ~label:(Endpoint.owner ep) ?budget fn
 
 let cpu t = Netsim.Host.cpu (Graph.host t.graph)

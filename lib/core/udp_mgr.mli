@@ -43,9 +43,9 @@ val install_recv :
 
 val install_recv_linear :
   t -> Endpoint.t -> ?cost:Sim.Stime.t -> (Pctx.t -> unit) -> unit -> unit
-(** {!install_recv} without the dispatch key: the guard is scanned on
-    every raise.  The pre-index behaviour, kept for the guard-scaling
-    ablation. *)
+(** {!install_recv} without the dispatch key: the guard is evaluated on
+    every raise.  The behaviour before dispatch keys, kept for the
+    guard-scaling ablation. *)
 
 val install_recv_filtered :
   t -> Endpoint.t -> Filter.t -> ?cost:Sim.Stime.t -> (Pctx.t -> unit) ->

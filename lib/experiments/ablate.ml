@@ -11,10 +11,11 @@
 
 (* --- 1: guard scaling -------------------------------------------------- *)
 
-(* [rtt_us] installs the bystanders unkeyed (the pre-index linear scan:
-   every raise evaluates every guard); [indexed_rtt_us] installs them
-   with their port as dispatch key, so the raise hashes the datagram's
-   port once and never sees them. *)
+(* [rtt_us] installs the bystanders unkeyed (residuals at every leaf of
+   the UDP event's dispatch tree: every raise evaluates every guard, as
+   a linear scan would); [indexed_rtt_us] installs them with their port
+   as dispatch key, so the tree walk prunes them off the echo's path and
+   never calls their guards. *)
 type guard_point = { extra_endpoints : int; rtt_us : float; indexed_rtt_us : float }
 
 let guard_scaling ?(counts = [ 0; 8; 32; 128 ]) ?(iters = 100) () =

@@ -6,8 +6,9 @@ type guard_point = { extra_endpoints : int; rtt_us : float; indexed_rtt_us : flo
 
 val guard_scaling : ?counts:int list -> ?iters:int -> unit -> guard_point list
 (** UDP echo RTT with N extra (non-matching) endpoint guards installed:
-    [rtt_us] with the bystanders unkeyed (linear scan), [indexed_rtt_us]
-    with them in the dispatch index (skipped by the port hash). *)
+    [rtt_us] with the bystanders unkeyed (every guard evaluated, as in a
+    linear scan), [indexed_rtt_us] with them keyed on their port (pruned
+    by the dispatch-tree walk). *)
 
 type spoof_result = {
   overwrite_rtt : float;

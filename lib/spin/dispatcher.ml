@@ -8,27 +8,29 @@
    event; "the overhead of invoking each handler is roughly one procedure
    call", which the cost model reflects via [costs.dispatch].
 
-   Demultiplexing scales the way DPF and PathFinder showed it must: an
-   event may carry a *dispatch index*.  Handlers whose guard is known to
-   imply a literal equality on a demux field (protocol number, port,
-   EtherType) are installed with that equality as a [key]; at raise time
-   the event's key extractor hashes the payload's demux fields once and
-   only the handlers in the matching buckets — plus the unkeyed linear
-   fallback bucket — have their guards evaluated.  Raise cost therefore
-   scales with the number of *matching* handlers, not the number of
-   *installed* handlers; the cost model charges one [costs.index] hash
-   lookup instead of [guard * n].
+   Every raise takes one path: it walks the event's merged decision tree
+   (DPF-style, see "merged dispatch tree" below) to a leaf, delivers the
+   leaf's proven handlers without calling their guards, and evaluates the
+   leaf's residual guards.  Handlers whose guard implies literal
+   equalities on demux fields (EtherType, protocol number, ports) are
+   installed with those equalities as [keys]; the event's vectored key
+   extractor reads the payload's demux fields once per raise.  Raise cost
+   therefore scales with the number of *matching* handlers, not the
+   number of *installed* ones.  An event with no extractor, no keyed
+   handler or at most one handler compiles to a *bare leaf* — the
+   zero-dimension tree: no switch, no key extraction, every live handler
+   a residual in install order — which is exactly a linear guard scan,
+   charged as one ([dispatch + guard * n]).
 
    The registry behind this is an hid-indexed hash table (O(1) install,
-   uninstall and liveness check) plus per-key bucket lists; bucket lists
-   are pruned lazily of uninstalled ids at the next raise that touches
-   them.
+   uninstall and liveness check); the tree (or bare leaf) is compiled
+   from it lazily, once per generation.
 
-   Soundness contract for keys: installing a handler with [~key:k] asserts
-   that its guard can only accept payloads for which the event's key
-   extractor includes [k].  Managers derive both from the same endpoint or
-   filter, so the index can never change which handlers fire — it only
-   skips guards that were going to say no.
+   Soundness contract for keys: installing a handler with [~keys] asserts
+   that its guard can only accept payloads presenting every one of those
+   keys to the event's extractor.  Managers derive both from the same
+   endpoint or filter, so the tree can never change which handlers fire —
+   it only skips guards that were going to say no.
 
    Delivery modes correspond to the two Plexus bars in Figure 5:
    - [Interrupt]: handlers run at interrupt priority in the raiser's
@@ -52,7 +54,7 @@ type delivery = Interrupt | Thread
 type costs = {
   dispatch : Sim.Stime.t;      (* per-raise bookkeeping, ~ a procedure call *)
   guard : Sim.Stime.t;         (* per guard predicate evaluation *)
-  index : Sim.Stime.t;         (* per-raise demux-key hash lookup *)
+  index : Sim.Stime.t;         (* flow-path cache signature lookup *)
   tree_node : Sim.Stime.t;     (* per decision-tree switch visited *)
   thread_spawn : Sim.Stime.t;  (* thread-mode per-invocation cost *)
 }
@@ -84,7 +86,7 @@ let default_costs =
      fields — so skipping those guards on replay cannot change the
      accepted set;
    - each event carries a generation counter, bumped on every install,
-     uninstall, mode/keyfn change and explicit [touch]; a hop remembers
+     uninstall, mode/extractor change and explicit [touch]; a hop remembers
      the generation it saw and a hit validates every hop in O(hops)
      before running anything;
    - recordings commit only when the delivery fully drains
@@ -222,7 +224,6 @@ type t = {
   pc_invalidations : int ref;
   pc_evictions : int ref;      (* CLOCK evictions across all event caches *)
   mutable fcache : bool;       (* flow-path cache enabled *)
-  mutable tmode : bool;        (* merged-tree dispatch enabled (default) *)
   mutable flow : flow;         (* dynamic delivery context *)
   mutable prio_override : Sim.Cpu.prio option;
       (* sticky delivery-priority demotion: set around handler bodies of
@@ -276,7 +277,6 @@ let create ?registry ?trace ~cpu ~costs () =
     pc_invalidations = mkref registry "spin.path_cache.invalidations";
     pc_evictions = mkref registry "spin.path_cache.evictions";
     fcache = false;
-    tmode = true;
     flow = No_flow;
     prio_override = None;
     next_uid = 0;
@@ -308,8 +308,6 @@ let path_cache_invalidations t = !(t.pc_invalidations)
 let path_cache_evictions t = !(t.pc_evictions)
 let set_flow_cache t on = t.fcache <- on
 let flow_cache_enabled t = t.fcache
-let set_tree_dispatch t on = t.tmode <- on
-let tree_dispatch_enabled t = t.tmode
 let set_flight t fl = t.flight <- fl
 let flight t = t.flight
 
@@ -366,7 +364,6 @@ type 'a handler = {
   hgen : int;           (* reinstall generation of this label *)
   guard : 'a -> bool;
   gcost : Sim.Stime.t;  (* extra per-evaluation cost (interpreted filters) *)
-  hkey : int option;    (* dispatch key this handler is indexed under *)
   hkeys : int list;     (* every key the guard pins (sorted, distinct) *)
   hexact : bool;        (* guard ≡ its keys: a proven path skips it *)
   cacheable : bool;     (* guard is a pure function of the flow signature *)
@@ -393,10 +390,10 @@ type 'a handler = {
    protocol, ports — [Filter.key_tag] order; generic events use
    [key lsr 16]).  Each switch tests one dimension's payload value
    against an open-addressed jump table; each leaf holds the exact
-   handler set for that path.  One walk per raise replaces the
-   per-bucket guard re-evaluation: handlers whose guard is *exactly*
-   its keys ([hexact]) are proven matches at their leaves and their
-   closures are never called; inexact keyed handlers appear at their
+   handler set for that path.  One walk per raise replaces evaluating
+   every guard: handlers whose guard is *exactly* its keys ([hexact])
+   are proven matches at their leaves and their closures are never
+   called; inexact keyed handlers appear at their
    leaves as residuals (closure still consulted); unkeyed handlers are
    residuals at every leaf.  Wildcard handlers are cross-producted into
    every value child, so a walk never needs backtracking.  Subtrees are
@@ -410,7 +407,10 @@ type 'a handler = {
    [hexact] handler's contract additionally says the guard *accepts*
    any payload presenting them, so the proven path may skip the yes.
    The walk reads at most one value per dimension, which is exactly
-   what the vectored extractor ([set_keyvfn]) presents. *)
+   what the vectored extractor ([set_keyvfn]) presents.
+
+   The bare leaf is the same structure with zero dimensions: no switch
+   to walk, no exact handlers, every live handler a residual. *)
 
 type 'a tleaf = {
   tl_exact : 'a handler array;  (* proven matches, hid order *)
@@ -431,12 +431,19 @@ type 'a tree = {
   tr_root : 'a tnode;
   tr_nodes : int;   (* switches + distinct leaves *)
   tr_depth : int;   (* longest switch chain *)
-  tr_ndims : int;   (* scratch slots a walk reads: max key dim + 1 *)
   mutable tr_visited : int;
       (* switches the last walk traversed — an out-parameter of
          [tree_walk] so the hot path returns the leaf unboxed
          (dispatchers are single-domain, so this cannot race) *)
 }
+
+(* What a raise walks: a compiled switch tree, or a bare leaf.  A bare
+   leaf's raises count as indexed when the event has an extractor and a
+   keyed handler, as linear otherwise — the classification the counters
+   have always used for events too small or too unkeyed to switch on. *)
+type 'a plan =
+  | Bare of { leaf : 'a tleaf; indexed : bool }
+  | Tree of 'a tree
 
 type 'a event = {
   disp : t;
@@ -445,31 +452,23 @@ type 'a event = {
   gen : int ref;                              (* bumped on any churn *)
   mutable mode : delivery;
   table : (int, 'a handler) Hashtbl.t;       (* hid -> handler; the registry *)
-  mutable linear : int list;                  (* unkeyed hids, newest first *)
-  buckets : (int, int list ref) Hashtbl.t;    (* key -> hids, newest first *)
-  mutable keyfn : ('a -> int list) option;    (* payload's demux keys *)
   mutable keyvfn : ('a -> int array -> unit) option;
       (* vectored key extractor: fills scratch slot [d] with dimension
-         [d]'s value or -1 — the allocation-free fast path *)
-  mutable kv_dims : int;                      (* dims the keyvfn fills *)
+         [d]'s value or -1, allocating nothing *)
   mutable scratch : int array;                (* per-event key-value probe *)
   mutable sigfn : ('a -> string option) option; (* flow signature, roots only *)
   mutable markfn : ('a -> int) option;        (* payload's flight-record mark *)
   entries : hop array Sharded.Cache.t;        (* flow signature -> chain *)
-  mutable nkeyed : int;                       (* live handlers with a key *)
   mutable next_hid : int;
   label_gens : (string, int) Hashtbl.t;
       (* reinstall count per handler label: same-labeled reinstalls get
          fresh ledger counters instead of merging into the old ones *)
   mutable policy : Verifier.policy option;    (* install-time admission *)
   mutable quarantine : Verifier.quarantine option; (* runtime eviction *)
-  mutable tree : 'a tree option;              (* compiled merged tree *)
-  mutable tree_gen : int;      (* generation [tree] was compiled at; -1 =
-                                  never (also records a refused build, so
-                                  a raise retries only after churn) *)
-  mutable tree_on : bool;                     (* per-event opt-out *)
+  mutable plan : 'a plan;                     (* compiled dispatch plan *)
+  mutable plan_gen : int;  (* generation [plan] was compiled at; -1 = never *)
   ev_raises : int ref;
-  ev_indexed : int ref;   (* raises served through the demux index *)
+  ev_indexed : int ref;   (* raises with an extractor and a keyed handler *)
   ev_linear : int ref;    (* raises that scanned every live guard *)
   ev_cached : int ref;    (* root raises served from the flow-path cache *)
   ev_tree : int ref;      (* raises served by a merged-tree walk *)
@@ -486,7 +485,7 @@ let info_of_event ev =
              hi_id = h.hid;
              hi_label = h.label;
              hi_gen = h.hgen;
-             hi_key = h.hkey;
+             hi_key = (match h.hkeys with [] -> None | k :: _ -> Some k);
              hi_ephemeral = (match h.kind with Eph _ -> true | Plain _ -> false);
              hi_budget = h.hbudget;
              hi_guard_hits = !(h.hs.h_hits);
@@ -506,14 +505,12 @@ let info_of_event ev =
   {
     ei_name = ev.ename;
     ei_mode = ev.mode;
-    ei_indexed = (match (ev.keyfn, ev.keyvfn) with
-                 | None, None -> false
-                 | _ -> true);
+    ei_indexed = ev.keyvfn <> None;
     ei_generation = !(ev.gen);
     ei_cache_entries = Sharded.Cache.length ev.entries;
     ei_tree =
-      (match ev.tree with
-      | Some tr ->
+      (match ev.plan with
+      | Tree tr ->
           Some
             {
               ti_nodes = tr.tr_nodes;
@@ -522,7 +519,7 @@ let info_of_event ev =
               ti_raises = !(ev.ev_tree);
               ti_residual_evals = !(ev.tr_resid_evals);
             }
-      | None -> None);
+      | Bare _ -> None);
     ei_handlers = handlers;
   }
 
@@ -540,19 +537,10 @@ let set_mode ev m =
   ev.mode <- m;
   touch ev
 
-let set_keyfn ev kf =
-  ev.keyfn <- Some kf;
-  touch ev
-
 let set_keyvfn ev ~dims kvf =
   if dims < 1 then invalid_arg "Dispatcher.set_keyvfn: dims must be >= 1";
   ev.keyvfn <- Some kvf;
-  ev.kv_dims <- dims;
   if Array.length ev.scratch < dims then ev.scratch <- Array.make dims (-1);
-  touch ev
-
-let set_event_tree ev on =
-  ev.tree_on <- on;
   touch ev
 
 let set_sigfn ev sf = ev.sigfn <- Some sf
@@ -563,8 +551,6 @@ let set_markfn ev mf = ev.markfn <- Some mf
 let generation ev = !(ev.gen)
 let cache_entries ev = Sharded.Cache.length ev.entries
 let handler_count ev = Hashtbl.length ev.table
-let indexed_count ev = ev.nkeyed
-let linear_count ev = Hashtbl.length ev.table - ev.nkeyed
 
 (* State-aware uninstall.  An [Active] handler leaves the event table
    immediately — no new raise can select it — but what happens to its
@@ -585,9 +571,6 @@ let uninstall_h ev h =
   | Active -> (
       Hashtbl.remove ev.table h.hid;
       touch ev;
-      (match h.hkey with
-      | Some _ -> ev.nkeyed <- ev.nkeyed - 1
-      | None -> ());
       match ev.disp.retiring with
       | Some acc when h.pending > 0 ->
           h.state <- Retired;
@@ -628,7 +611,30 @@ exception
     violation : Verifier.violation;
   }
 
-let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
+(* --- keys ----------------------------------------------------------------
+   Decomposition of an encoded key into (dimension, value).  For
+   [Filter] keys this is [key_tag]/value; generic events encode their
+   own keys the same way ([(dim lsl 16) lor value]), so the tree's
+   dimension model covers them too. *)
+let key_dim k = k lsr 16
+let key_val k = k land 0xffff
+
+(* The walk's scratch array is indexed by dimension, so a generic event
+   with huge raw keys must not cost a huge probe: installs reject
+   negative keys and dimensions at or above this bound. *)
+let max_tree_dims = 64
+
+let add_handler ev ?label ?ops ~cacheable ~exact guard gcost keys kind =
+  let hkeys = List.sort_uniq compare keys in
+  List.iter
+    (fun k ->
+      if k < 0 || key_dim k >= max_tree_dims then
+        invalid_arg
+          (Printf.sprintf
+             "Dispatcher.install: key %d on %s is negative or beyond \
+              dimension %d"
+             k ev.ename (max_tree_dims - 1)))
+    hkeys;
   let hid = ev.next_hid in
   ev.next_hid <- hid + 1;
   let label =
@@ -661,14 +667,6 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
   let cacheable =
     match kind with Eph _ -> false | Plain _ -> cacheable
   in
-  let hkeys =
-    List.sort_uniq compare
-      (match (key, keys) with
-      | None, None -> []
-      | Some k, None -> [ k ]
-      | None, Some ks -> ks
-      | Some k, Some ks -> k :: ks)
-  in
   (* exactness is a claim about the keys; with none there is nothing a
      tree walk could have proven *)
   let hexact = exact && hkeys <> [] in
@@ -679,7 +677,6 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
       hgen;
       guard;
       gcost;
-      hkey = (match hkeys with [] -> None | k :: _ -> Some k);
       hkeys;
       hexact;
       cacheable;
@@ -704,17 +701,7 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
       h.qw_allocs <- !(h.hs.h_allocs);
       h.qw_terms <- !(h.hs.h_terms);
       Hashtbl.replace ev.table hid h;
-      touch ev;
-      match hkeys with
-      | [] -> ev.linear <- hid :: ev.linear
-      | k :: _ ->
-          (* bucketed under the first key only: the install contract says
-             the guard rejects payloads not presenting *all* its keys, so
-             any one of them is a sound index *)
-          ev.nkeyed <- ev.nkeyed + 1;
-          (match Hashtbl.find_opt ev.buckets k with
-          | Some b -> b := hid :: !b
-          | None -> Hashtbl.replace ev.buckets k (ref [ hid ]))
+      touch ev
     end
   in
   (match ev.disp.staging with
@@ -724,13 +711,13 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
 
 let no_guard _ = true
 
-let install ev ?(guard = no_guard) ?key ?keys ?(exact = false)
+let install ev ?(guard = no_guard) ?(keys = []) ?(exact = false)
     ?(gcost = Sim.Stime.zero) ?dyncost ?(cacheable = false) ?label ?ops ~cost
     fn =
-  add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys
+  add_handler ev ?label ?ops ~cacheable ~exact guard gcost keys
     (Plain { cost; dyncost; fn })
 
-let install_ephemeral ev ?(guard = no_guard) ?key ?keys ?(exact = false)
+let install_ephemeral ev ?(guard = no_guard) ?(keys = []) ?(exact = false)
     ?(gcost = Sim.Stime.zero) ?label ?ops ?budget fn =
   (* A certified op list supplies the default runtime budget: the
      static bound becomes the enforcement ceiling unless the installer
@@ -741,7 +728,7 @@ let install_ephemeral ev ?(guard = no_guard) ?key ?keys ?(exact = false)
     | None, Some ops -> Some (Verifier.cost (Verifier.infer ops))
     | None, None -> None
   in
-  add_handler ev ?label ?ops ~cacheable:false ~exact guard gcost key keys
+  add_handler ev ?label ?ops ~cacheable:false ~exact guard gcost keys
     (Eph { budget; fn })
 
 (* --- lifecycle scopes (hot-swap protocol) ------------------------------
@@ -789,96 +776,6 @@ let end_retiring d =
 let set_policy ev p = ev.policy <- p
 let set_quarantine ev q = ev.quarantine <- q
 
-(* Live handlers behind a hid list, pruning uninstalled ids in place. *)
-let prune ev ids =
-  if List.for_all (fun hid -> Hashtbl.mem ev.table hid) ids then (ids, false)
-  else (List.filter (fun hid -> Hashtbl.mem ev.table hid) ids, true)
-
-let bucket_hids ev k =
-  match Hashtbl.find_opt ev.buckets k with
-  | None -> []
-  | Some b ->
-      let live, stale = prune ev !b in
-      if stale then
-        if live = [] then Hashtbl.remove ev.buckets k else b := live;
-      live
-
-(* --- key-value extraction ---------------------------------------------
-   Decomposition of an encoded key into (dimension, value).  For
-   [Filter] keys this is [key_tag]/value; for generic raw int keys the
-   decomposition is the identity seen from both sides (handler keys and
-   extractor output decompose the same way), so the tree's dimension
-   model is sound for them too. *)
-let key_dim k = k lsr 16
-let key_val k = k land 0xffff
-
-(* Fill the event's scratch array with the payload's per-dimension
-   values (-1 = absent) and return it.  The vectored extractor writes in
-   place; a legacy list extractor is decoded into the slots (that path
-   still allocates the list — the alloc-free contract needs
-   [set_keyvfn]). *)
-let fill_keyvals ev v ndims =
-  let need = max 1 (max ndims ev.kv_dims) in
-  if Array.length ev.scratch < need then ev.scratch <- Array.make need (-1);
-  let s = ev.scratch in
-  (match ev.keyvfn with
-  (* a vectored extractor writes every dimension (-1 for absent) by
-     contract, so the scratch needs no wipe first *)
-  | Some kvf -> kvf v s
-  | None -> (
-      Array.fill s 0 (Array.length s) (-1);
-      match ev.keyfn with
-      | Some kf ->
-          List.iter
-            (fun k ->
-              let d = key_dim k in
-              if d >= 0 && d < Array.length s then s.(d) <- key_val k)
-            (kf v)
-      | None -> ()));
-  s
-
-(* The handlers whose guards this raise must evaluate, in install order.
-   Without a key extractor every live handler is a candidate; with one,
-   only the matching buckets plus the linear fallback bucket are.  An
-   event with at most one installed handler skips the index entirely:
-   scanning the single guard is cheaper than hashing into its bucket. *)
-let candidates ev v =
-  let all () = Hashtbl.fold (fun hid _ acc -> hid :: acc) ev.table [] in
-  let hids =
-    if Hashtbl.length ev.table <= 1 then all ()
-    else
-      match (ev.keyfn, ev.keyvfn) with
-      | None, None -> all ()
-      | keyfn, keyvfn ->
-          let keyed =
-            if ev.nkeyed = 0 then []
-            else
-              match keyvfn with
-              | Some _ ->
-                  let s = fill_keyvals ev v 0 in
-                  let acc = ref [] in
-                  for d = 0 to ev.kv_dims - 1 do
-                    let value = s.(d) in
-                    if value >= 0 then
-                      acc :=
-                        List.rev_append
-                          (bucket_hids ev ((d lsl 16) lor value))
-                          !acc
-                  done;
-                  !acc
-              | None -> (
-                  match keyfn with
-                  | Some kf ->
-                      List.concat_map (fun k -> bucket_hids ev k) (kf v)
-                  | None -> [])
-          in
-          let live_linear, stale = prune ev ev.linear in
-          if stale then ev.linear <- live_linear;
-          List.rev_append keyed live_linear
-  in
-  List.filter_map (fun hid -> Hashtbl.find_opt ev.table hid)
-    (List.sort_uniq compare hids)
-
 (* --- merged-tree compilation ------------------------------------------ *)
 
 (* Open-addressed jump-table probe: returns the slot holding [v] or the
@@ -891,159 +788,146 @@ let jump_index keys mask v =
   in
   probe ((v * 0x9e3779b1) land mask)
 
-(* Dimensions above this bound (or negative keys) fall back to the
-   bucket index: the walk's scratch array is sized by the max dimension,
-   and a generic event with huge raw keys should not cost a huge probe. *)
-let max_tree_dims = 64
-
-let build_tree ev =
-  let all =
-    Hashtbl.fold (fun _ h acc -> h :: acc) ev.table []
-    |> List.sort (fun a b -> compare a.hid b.hid)
-  in
+(* Compile the live handlers [all] (in hid order) into a switch tree. *)
+let build_tree all =
   let keyed, unkeyed = List.partition (fun h -> h.hkeys <> []) all in
   let dims =
     List.concat_map (fun h -> List.map key_dim h.hkeys) keyed
     |> List.sort_uniq compare
   in
-  let max_dim = List.fold_left max (-1) dims in
-  if max_dim >= max_tree_dims || List.exists (fun h -> List.exists (fun k -> k < 0) h.hkeys) keyed
-  then None
-  else begin
-    (* the single value a handler requires on dimension [d], if any *)
-    let requires h d =
-      List.fold_left
-        (fun acc k -> if key_dim k = d then Some (key_val k) else acc)
-        None h.hkeys
-    in
-    (* a handler pinning two different values on one dimension can never
-       match any payload (the walk reads one value per dimension) — it
-       contributes to no leaf *)
-    let satisfiable h =
-      List.for_all (fun k -> requires h (key_dim k) = Some (key_val k)) h.hkeys
-    in
-    let keyed = List.filter satisfiable keyed in
-    let nodes = ref 0 in
-    (* hash-consing memo: (remaining-dim count, handler hids) -> subtree.
-       Dimensions are consumed in one fixed order, so the remaining-dims
-       suffix is fully determined by its length. *)
-    let memo : (string, 'a tnode) Hashtbl.t = Hashtbl.create 64 in
-    let merge_by_hid a b = List.merge (fun x y -> compare x.hid y.hid) a b in
-    let mk_leaf hs =
-      incr nodes;
-      let exact, inexact = List.partition (fun h -> h.hexact) hs in
-      Tleaf
-        {
-          tl_exact = Array.of_list exact;
-          tl_resid = Array.of_list (merge_by_hid inexact unkeyed);
-        }
-    in
-    let rec build dims hs =
-      let mkey =
-        String.concat ","
-          (string_of_int (List.length dims)
-          :: List.map (fun h -> string_of_int h.hid) hs)
-      in
-      match Hashtbl.find_opt memo mkey with
-      | Some n -> n
-      | None ->
-          let n =
-            match dims with
-            | [] -> mk_leaf hs
-            | d :: rest -> (
-                match List.filter (fun h -> requires h d <> None) hs with
-                | [] -> build rest hs (* no handler tests this dimension *)
-                | constrained ->
-                    let values =
-                      List.filter_map (fun h -> requires h d) constrained
-                      |> List.sort_uniq compare
-                    in
-                    (* wildcards on [d] flow into every child (the
-                       cross-product that makes the walk single-path) *)
-                    let default =
-                      build rest
-                        (List.filter (fun h -> requires h d = None) hs)
-                    in
-                    let cases =
-                      List.map
-                        (fun v ->
-                          ( v,
-                            build rest
-                              (List.filter
-                                 (fun h ->
-                                   match requires h d with
-                                   | None -> true
-                                   | Some v' -> v' = v)
-                                 hs) ))
-                        values
-                    in
-                    incr nodes;
-                    let size =
-                      let want = 2 * List.length cases in
-                      let rec pow2 p = if p >= want then p else pow2 (p * 2) in
-                      pow2 4
-                    in
-                    let keys = Array.make size (-1) in
-                    let kids = Array.make size default in
-                    let mask = size - 1 in
-                    List.iter
-                      (fun (v, node) ->
-                        let i = jump_index keys mask v in
-                        keys.(i) <- v;
-                        kids.(i) <- node)
-                      cases;
-                    Tswitch
-                      {
-                        ts_dim = d;
-                        ts_keys = keys;
-                        ts_kids = kids;
-                        ts_mask = mask;
-                        ts_default = default;
-                      })
-          in
-          Hashtbl.add memo mkey n;
-          n
-    in
-    let root = build dims keyed in
-    let rec depth = function
-      | Tleaf _ -> 0
-      | Tswitch s ->
-          1
-          + Array.fold_left
-              (fun acc kid -> max acc (depth kid))
-              (depth s.ts_default) s.ts_kids
-    in
-    Some
+  (* the single value a handler requires on dimension [d], if any *)
+  let requires h d =
+    List.fold_left
+      (fun acc k -> if key_dim k = d then Some (key_val k) else acc)
+      None h.hkeys
+  in
+  (* a handler pinning two different values on one dimension can never
+     match any payload (the walk reads one value per dimension) — it
+     contributes to no leaf *)
+  let satisfiable h =
+    List.for_all (fun k -> requires h (key_dim k) = Some (key_val k)) h.hkeys
+  in
+  let keyed = List.filter satisfiable keyed in
+  let nodes = ref 0 in
+  (* hash-consing memo: (remaining-dim count, handler hids) -> subtree.
+     Dimensions are consumed in one fixed order, so the remaining-dims
+     suffix is fully determined by its length. *)
+  let memo : (string, 'a tnode) Hashtbl.t = Hashtbl.create 64 in
+  let merge_by_hid a b = List.merge (fun x y -> compare x.hid y.hid) a b in
+  let mk_leaf hs =
+    incr nodes;
+    let exact, inexact = List.partition (fun h -> h.hexact) hs in
+    Tleaf
       {
-        tr_root = root;
-        tr_nodes = !nodes;
-        tr_depth = depth root;
-        tr_ndims = max_dim + 1;
-        tr_visited = 0;
+        tl_exact = Array.of_list exact;
+        tl_resid = Array.of_list (merge_by_hid inexact unkeyed);
       }
-  end
+  in
+  let rec build dims hs =
+    let mkey =
+      String.concat ","
+        (string_of_int (List.length dims)
+        :: List.map (fun h -> string_of_int h.hid) hs)
+    in
+    match Hashtbl.find_opt memo mkey with
+    | Some n -> n
+    | None ->
+        let n =
+          match dims with
+          | [] -> mk_leaf hs
+          | d :: rest -> (
+              match List.filter (fun h -> requires h d <> None) hs with
+              | [] -> build rest hs (* no handler tests this dimension *)
+              | constrained ->
+                  let values =
+                    List.filter_map (fun h -> requires h d) constrained
+                    |> List.sort_uniq compare
+                  in
+                  (* wildcards on [d] flow into every child (the
+                     cross-product that makes the walk single-path) *)
+                  let default =
+                    build rest
+                      (List.filter (fun h -> requires h d = None) hs)
+                  in
+                  let cases =
+                    List.map
+                      (fun v ->
+                        ( v,
+                          build rest
+                            (List.filter
+                               (fun h ->
+                                 match requires h d with
+                                 | None -> true
+                                 | Some v' -> v' = v)
+                               hs) ))
+                      values
+                  in
+                  incr nodes;
+                  let size =
+                    let want = 2 * List.length cases in
+                    let rec pow2 p = if p >= want then p else pow2 (p * 2) in
+                    pow2 4
+                  in
+                  let keys = Array.make size (-1) in
+                  let kids = Array.make size default in
+                  let mask = size - 1 in
+                  List.iter
+                    (fun (v, node) ->
+                      let i = jump_index keys mask v in
+                      keys.(i) <- v;
+                      kids.(i) <- node)
+                    cases;
+                  Tswitch
+                    {
+                      ts_dim = d;
+                      ts_keys = keys;
+                      ts_kids = kids;
+                      ts_mask = mask;
+                      ts_default = default;
+                    })
+        in
+        Hashtbl.add memo mkey n;
+        n
+  in
+  let root = build dims keyed in
+  let rec depth = function
+    | Tleaf _ -> 0
+    | Tswitch s ->
+        1
+        + Array.fold_left
+            (fun acc kid -> max acc (depth kid))
+            (depth s.ts_default) s.ts_kids
+  in
+  { tr_root = root; tr_nodes = !nodes; tr_depth = depth root; tr_visited = 0 }
 
-(* Tree dispatch applies when enabled (dispatcher-wide and per-event),
-   the event has a key extractor and at least one keyed handler, and
-   more than one handler total (the <=1 case scans one guard with no
-   index at all).  The compiled tree is memoized behind the event's
-   generation counter — the same counter the flow-path cache
-   invalidates on — so any install/uninstall/mode/extractor churn
-   recompiles lazily on the next raise. *)
-let tree_for ev =
-  if
-    (not (ev.disp.tmode && ev.tree_on))
-    || ev.nkeyed = 0
-    || Hashtbl.length ev.table <= 1
-    || (match (ev.keyfn, ev.keyvfn) with None, None -> true | _ -> false)
-  then None
-  else if ev.tree_gen = !(ev.gen) then ev.tree
-  else begin
-    ev.tree <- build_tree ev;
-    ev.tree_gen <- !(ev.gen);
-    (match ev.tree with Some _ -> incr ev.tr_rebuilds | None -> ());
-    ev.tree
-  end
+(* An event switches on its keys when it has a key extractor, at least
+   one keyed handler and more than one handler in total; anything else
+   compiles to a bare leaf (the <=1 case evaluates its one guard with
+   no walk at all).  The plan is memoized behind the event's generation
+   counter — the same counter the flow-path cache invalidates on — so
+   any install/uninstall/mode/extractor churn recompiles lazily on the
+   next raise. *)
+let plan_for ev =
+  if ev.plan_gen <> !(ev.gen) then begin
+    let all =
+      Hashtbl.fold (fun _ h acc -> h :: acc) ev.table []
+      |> List.sort (fun a b -> compare a.hid b.hid)
+    in
+    let keyed = ev.keyvfn <> None && List.exists (fun h -> h.hkeys <> []) all in
+    ev.plan <-
+      (if keyed && Hashtbl.length ev.table > 1 then begin
+         incr ev.tr_rebuilds;
+         Tree (build_tree all)
+       end
+       else
+         Bare
+           {
+             leaf = { tl_exact = [||]; tl_resid = Array.of_list all };
+             indexed = keyed;
+           });
+    ev.plan_gen <- !(ev.gen)
+  end;
+  ev.plan
 
 (* One walk: at each switch read the payload's value for that dimension
    from the scratch array and jump.  Returns the leaf and the number of
@@ -1076,9 +960,9 @@ let tree_raises ev = !(ev.ev_tree)
 (* Force-compile (if stale) and render the event's tree for
    introspection — the CLI's [dispatch --tree] view. *)
 let compiled_tree ev =
-  match tree_for ev with
-  | None -> None
-  | Some tr ->
+  match plan_for ev with
+  | Bare _ -> None
+  | Tree tr ->
       let label_of h = (h.hid, h.label) in
       let rec view = function
         | Tleaf l ->
@@ -1116,25 +1000,19 @@ let event disp ?(mode = Interrupt) ename =
       gen = ref 0;
       mode;
       table = Hashtbl.create 8;
-      linear = [];
-      buckets = Hashtbl.create 8;
-      keyfn = None;
       keyvfn = None;
-      kv_dims = 0;
       scratch = [||];
       sigfn = None;
       markfn = None;
       entries =
         Sharded.Cache.create ~shards:cache_shards ~per_shard:cache_per_shard
           ~evictions:disp.pc_evictions ();
-      nkeyed = 0;
       next_hid = 0;
       label_gens = Hashtbl.create 8;
       policy = None;
       quarantine = None;
-      tree = None;
-      tree_gen = -1;
-      tree_on = true;
+      plan = Bare { leaf = { tl_exact = [||]; tl_resid = [||] }; indexed = false };
+      plan_gen = -1;
       ev_raises = mkref disp.reg ("spin." ^ ename ^ ".raises");
       ev_indexed = mkref disp.reg ("spin." ^ ename ^ ".indexed_raises");
       ev_linear = mkref disp.reg ("spin." ^ ename ^ ".linear_raises");
@@ -1155,10 +1033,10 @@ let event disp ?(mode = Interrupt) ename =
         (fun () -> Sharded.Cache.length ev.entries);
       Observe.Registry.gauge r
         ("spin." ^ ename ^ ".tree.depth")
-        (fun () -> match ev.tree with Some tr -> tr.tr_depth | None -> 0);
+        (fun () -> match ev.plan with Tree tr -> tr.tr_depth | Bare _ -> 0);
       Observe.Registry.gauge r
         ("spin." ^ ename ^ ".tree.nodes")
-        (fun () -> match ev.tree with Some tr -> tr.tr_nodes | None -> 0)
+        (fun () -> match ev.plan with Tree tr -> tr.tr_nodes | Bare _ -> 0)
   | None -> ());
   ev
 
@@ -1181,8 +1059,6 @@ let contain ev h f =
   try f () with
   | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
   | _exn -> fault ev h
-
-let still_installed _ev h = h.live
 
 let emit_span d event =
   Observe.Trace.emit d.trace { Observe.Trace.at_ns = now_ns d; event }
@@ -1264,6 +1140,17 @@ let flight_note_run d ev v h ~dur_ns =
       | None -> ())
   | _ -> ()
 
+(* One run's ledger entry: run count, modelled CPU, mbufs allocated since
+   [a0], the latency histogram and the flight record. *)
+let note_run d ev v h ~run_ns ~a0 =
+  incr h.hs.h_runs;
+  h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
+  h.hs.h_allocs := !(h.hs.h_allocs) + (Packet.Mbuf.total_allocated () - a0);
+  (match h.hs.h_lat with
+  | Some hist -> Observe.Histogram.record hist run_ns
+  | None -> ());
+  flight_note_run d ev v h ~dur_ns:run_ns
+
 (* --- recording bookkeeping --------------------------------------------
    A recording commits only once the delivery has fully drained: every
    scheduled continuation (demux and handler runs, including nested
@@ -1339,22 +1226,15 @@ let deliver ev v h flow over =
       enter ();
       Sim.Cpu.run d.cpu ~prio ~cost:total (fun () ->
           (* skip if uninstalled while this invocation was queued *)
-          (if still_installed ev h then begin
+          (if h.live then begin
              d.flow <- flow;
              d.prio_override <- over;
              let a0 = Packet.Mbuf.total_allocated () in
              contain ev h (fun () -> fn v);
              d.prio_override <- None;
              d.flow <- No_flow;
-             incr h.hs.h_runs;
              let run_ns = Sim.Stime.to_ns total in
-             h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
-             h.hs.h_allocs :=
-               !(h.hs.h_allocs) + (Packet.Mbuf.total_allocated () - a0);
-             (match h.hs.h_lat with
-             | Some hist -> Observe.Histogram.record hist run_ns
-             | None -> ());
-             flight_note_run d ev v h ~dur_ns:run_ns;
+             note_run d ev v h ~run_ns ~a0;
              if Observe.Trace.active d.trace then
                emit_span d
                  (Observe.Trace.Handler_run
@@ -1389,23 +1269,15 @@ let deliver ev v h flow over =
           Sim.Cpu.run d.cpu ~prio
             ~cost:(Sim.Stime.add spawn r.Ephemeral.consumed)
             (fun () ->
-              (if still_installed ev h then begin
+              (if h.live then begin
                  d.prio_override <- over;
                  let a0 = Packet.Mbuf.total_allocated () in
                  contain ev h (fun () ->
                      let r = Ephemeral.commit plan in
-                     incr h.hs.h_runs;
                      incr d.eph_commits;
                      d.eph_actions := !(d.eph_actions) + r.Ephemeral.committed;
                      let run_ns = Sim.Stime.to_ns r.Ephemeral.consumed in
-                     h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
-                     h.hs.h_allocs :=
-                       !(h.hs.h_allocs)
-                       + (Packet.Mbuf.total_allocated () - a0);
-                     (match h.hs.h_lat with
-                     | Some hist -> Observe.Histogram.record hist run_ns
-                     | None -> ());
-                     flight_note_run d ev v h ~dur_ns:run_ns;
+                     note_run d ev v h ~run_ns ~a0;
                      if r.Ephemeral.terminated then begin
                        Sim.Stats.Counter.incr d.terminations;
                        incr d.eph_terminated;
@@ -1441,134 +1313,55 @@ let deliver ev v h flow over =
               leave ();
               flow_leave d flow))
 
-(* Graph dispatch of one raise through the bucket index (or a plain
-   scan), optionally recording the hop.  [raises]/[ev_raises] are the
-   caller's job (so batch entry points can amortize them). *)
-let raise_scan ?over ev v flow =
-  let d = ev.disp in
-  let cands = candidates ev v in
-  let n_guards = List.length cands in
-  Sim.Stats.Counter.add d.guard_evals n_guards;
-  (* Event-level classification: an event with a key extractor and any
-     keyed handler counts as an indexed raise.  The hash lookup itself
-     (and its [costs.index] charge) is skipped when <=1 handler is
-     installed — scanning the one guard is strictly cheaper. *)
-  let indexed =
-    (match (ev.keyfn, ev.keyvfn) with None, None -> false | _ -> true)
-    && ev.nkeyed > 0
-  in
-  let use_index = indexed && Hashtbl.length ev.table > 1 in
-  if indexed then incr ev.ev_indexed else incr ev.ev_linear;
-  if use_index then Sim.Stats.Counter.incr d.index_lookups;
-  if Observe.Trace.active d.trace then begin
-    emit_span d
-      (Observe.Trace.Raise
-         { event = ev.ename; candidates = n_guards; indexed });
-    if use_index then
-      let nkeys =
-        match ev.keyfn with
-        | Some kf -> List.length (kf v)
-        | None ->
-            let s = fill_keyvals ev v 0 in
-            let n = ref 0 in
-            for d = 0 to ev.kv_dims - 1 do
-              if s.(d) >= 0 then incr n
-            done;
-            !n
-      in
-      emit_span d
-        (Observe.Trace.Index_lookup
-           { event = ev.ename; keys = nkeys; candidates = n_guards })
-  end;
-  flight_note_raise d ev v;
-  let extra_gcost =
-    List.fold_left (fun acc h -> Sim.Stime.add acc h.gcost) Sim.Stime.zero cands
-  in
-  let demux_cost =
-    Sim.Stime.add extra_gcost
-      (Sim.Stime.add d.costs.dispatch
-         (Sim.Stime.add
-            (if use_index then d.costs.index else Sim.Stime.zero)
-            (Sim.Stime.mul d.costs.guard n_guards)))
-  in
-  let prio = prio_of ev over in
-  flow_enter flow;
-  Sim.Cpu.run d.cpu ~prio ~cost:demux_cost (fun () ->
-      (* Demultiplex against the *current* registry: a handler uninstalled
-         while this raise was queued no longer fires. *)
-      let cands = candidates ev v in
-      (* A hop is recordable only when *every* candidate — accepting or
-         rejecting — opted into cacheability, because replay skips all
-         of their guards; one interrupt-mode exception or one
-         flow-dependent guard poisons the whole chain. *)
-      (match flow with
-      | Recording r ->
-          if
-            ev.mode <> Interrupt || over <> None
-            || not (List.for_all (fun h -> h.cacheable) cands)
-          then r.rec_ok <- false
-      | No_flow | Replaying _ -> ());
-      let accepted_rev = ref [] in
-      List.iter
-        (fun h ->
-          (* a faulting guard is contained the same way *)
-          let accepted =
-            try h.guard v with
-            | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-            | _ -> fault ev h; false
-          in
-          if accepted then incr h.hs.h_hits else incr h.hs.h_misses;
-          if Observe.Trace.active d.trace then
-            emit_span d
-              (Observe.Trace.Guard_eval
-                 { event = ev.ename; hid = h.hid; label = h.label;
-                   hit = accepted });
-          if accepted then begin
-            accepted_rev := h.hid :: !accepted_rev;
-            deliver ev v h flow over
-          end)
-        cands;
-      (match flow with
-      | Recording r ->
-          if r.rec_ok then
-            r.rec_hops <-
-              {
-                hop_uid = ev.uid;
-                hop_gen = ev.gen;
-                hop_gen_at = !(ev.gen);
-                hop_hids = List.rev !accepted_rev;
-              }
-              :: r.rec_hops
-      | No_flow | Replaying _ -> ());
-      flow_leave d flow)
+(* The leaf a raise on [plan] reaches: a bare leaf directly, a switch
+   tree by one walk over the payload's key values. *)
+let leaf_of ev plan v =
+  match plan with
+  | Bare { leaf; _ } -> leaf
+  | Tree tr ->
+      (match ev.keyvfn with Some kvf -> kvf v ev.scratch | None -> ());
+      tree_walk tr ev.scratch
 
-(* Graph dispatch of one raise through the merged decision tree: one
-   walk finds the leaf; the leaf's [tl_exact] handlers are proven
-   matches (no closure call — the walk evaluated their guards), its
-   [tl_resid] handlers get a real guard evaluation.  The two arrays are
-   merged by hid at delivery time so install order is preserved exactly
-   as the scan path would have produced it.  [guard_evals] counts only
-   the residuals — that is the tentpole's claim, "zero per-handler
-   guard re-evaluation for tree-expressible guards" — while
-   [index_lookups]/[ev_indexed] count the walk as an index consult. *)
-let raise_tree ?over ev v flow tr =
+(* Graph dispatch of one raise, optionally recording the hop: find the
+   leaf; its [tl_exact] handlers are proven matches (no closure call —
+   the walk evaluated their guards), its [tl_resid] handlers get a real
+   guard evaluation.  The two arrays are merged by hid at delivery time
+   so install order is preserved.  [guard_evals] counts only the
+   residuals.  A bare leaf charges exactly a linear scan — [dispatch],
+   one [guard] per handler and the handlers' [gcost] — and counts as a
+   linear or indexed raise by its classification; only a switch-tree
+   walk charges [tree_node] per switch visited, counts an index lookup
+   and emits an [Index_lookup] span.  [raises]/[ev_raises] are the
+   caller's job (so batch entry points can amortize them). *)
+let raise_tree ?over ev v flow =
   let d = ev.disp in
-  let leaf = tree_walk tr (fill_keyvals ev v tr.tr_ndims) in
-  let visited = tr.tr_visited in
+  let plan = plan_for ev in
+  let leaf = leaf_of ev plan v in
   let n_exact = Array.length leaf.tl_exact in
   let n_resid = Array.length leaf.tl_resid in
   Sim.Stats.Counter.add d.guard_evals n_resid;
-  Sim.Stats.Counter.incr d.index_lookups;
-  incr ev.ev_indexed;
-  incr ev.ev_tree;
-  ev.tr_resid_evals := !(ev.tr_resid_evals) + n_resid;
+  let visited, indexed =
+    match plan with
+    | Bare { indexed; _ } ->
+        incr (if indexed then ev.ev_indexed else ev.ev_linear);
+        (0, indexed)
+    | Tree tr ->
+        Sim.Stats.Counter.incr d.index_lookups;
+        incr ev.ev_indexed;
+        incr ev.ev_tree;
+        ev.tr_resid_evals := !(ev.tr_resid_evals) + n_resid;
+        (tr.tr_visited, true)
+  in
   if Observe.Trace.active d.trace then begin
     emit_span d
       (Observe.Trace.Raise
-         { event = ev.ename; candidates = n_exact + n_resid; indexed = true });
-    emit_span d
-      (Observe.Trace.Index_lookup
-         { event = ev.ename; keys = visited; candidates = n_exact + n_resid })
+         { event = ev.ename; candidates = n_exact + n_resid; indexed });
+    match plan with
+    | Tree _ ->
+        emit_span d
+          (Observe.Trace.Index_lookup
+             { event = ev.ename; keys = visited; candidates = n_exact + n_resid })
+    | Bare _ -> ()
   end;
   flight_note_raise d ev v;
   let extra_gcost =
@@ -1589,18 +1382,17 @@ let raise_tree ?over ev v flow tr =
   Sim.Cpu.run d.cpu ~prio ~cost:demux_cost (fun () ->
       (* Demultiplex against the *current* registry.  The common case —
          no churn between the raise and its delivery — reuses the leaf
-         phase 1 already found (same generation, same tree, same walk).
-         Otherwise re-walk against the rebuilt tree, or fall back to a
-         scan if churn took the event out of tree mode. *)
-      let exact, resid =
-        if !(ev.gen) = gen_at_raise then (leaf.tl_exact, leaf.tl_resid)
-        else
-          match tree_for ev with
-          | Some tr ->
-              let leaf = tree_walk tr (fill_keyvals ev v tr.tr_ndims) in
-              (leaf.tl_exact, leaf.tl_resid)
-          | None -> ([||], Array.of_list (candidates ev v))
+         phase 1 already found (same generation, same plan, same walk);
+         otherwise the plan is recompiled and the payload walks it
+         again. *)
+      let leaf =
+        if !(ev.gen) = gen_at_raise then leaf else leaf_of ev (plan_for ev) v
       in
+      let exact = leaf.tl_exact and resid = leaf.tl_resid in
+      (* A hop is recordable only when *every* handler the leaf holds —
+         accepting or rejecting — opted into cacheability, because
+         replay skips all of their guards; one interrupt-mode exception
+         or one flow-dependent guard poisons the whole chain. *)
       (match flow with
       | Recording r ->
           if
@@ -1614,36 +1406,25 @@ let raise_tree ?over ev v flow tr =
       let ne = Array.length exact and nr = Array.length resid in
       let i = ref 0 and j = ref 0 in
       while !i < ne || !j < nr do
-        let take_exact =
-          !j >= nr || (!i < ne && exact.(!i).hid < resid.(!j).hid)
+        (* a tree-proven match: the walk established every conjunct of
+           the guard, so the closure is never called *)
+        let proven = !j >= nr || (!i < ne && exact.(!i).hid < resid.(!j).hid) in
+        let h = if proven then exact.(!i) else resid.(!j) in
+        if proven then incr i else incr j;
+        let accepted =
+          proven
+          || (try h.guard v with
+             | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
+             | _ -> fault ev h; false)
         in
-        if take_exact then begin
-          let h = exact.(!i) in
-          incr i;
-          (* tree-proven match: the walk established every conjunct of
-             the guard, so the closure is never called *)
-          incr h.hs.h_hits;
+        if accepted then incr h.hs.h_hits else incr h.hs.h_misses;
+        if (not proven) && Observe.Trace.active d.trace then
+          emit_span d
+            (Observe.Trace.Guard_eval
+               { event = ev.ename; hid = h.hid; label = h.label; hit = accepted });
+        if accepted then begin
           accepted_rev := h.hid :: !accepted_rev;
           deliver ev v h flow over
-        end
-        else begin
-          let h = resid.(!j) in
-          incr j;
-          let accepted =
-            try h.guard v with
-            | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-            | _ -> fault ev h; false
-          in
-          if accepted then incr h.hs.h_hits else incr h.hs.h_misses;
-          if Observe.Trace.active d.trace then
-            emit_span d
-              (Observe.Trace.Guard_eval
-                 { event = ev.ename; hid = h.hid; label = h.label;
-                   hit = accepted });
-          if accepted then begin
-            accepted_rev := h.hid :: !accepted_rev;
-            deliver ev v h flow over
-          end
         end
       done;
       (match flow with
@@ -1659,13 +1440,6 @@ let raise_tree ?over ev v flow tr =
               :: r.rec_hops
       | No_flow | Replaying _ -> ());
       flow_leave d flow)
-
-(* Normal graph dispatch of one raise: merged-tree walk when the event
-   compiles to one, bucket-index/linear scan otherwise. *)
-let raise_core ?over ev v flow =
-  match tree_for ev with
-  | Some tr -> raise_tree ?over ev v flow tr
-  | None -> raise_scan ?over ev v flow
 
 (* --- replay ----------------------------------------------------------- *)
 
@@ -1690,20 +1464,12 @@ let run_hop ev v hids =
           Sim.Stats.Counter.incr d.invocations;
           let a0 = Packet.Mbuf.total_allocated () in
           contain ev h (fun () -> fn v);
-          incr h.hs.h_runs;
           let total =
             match dyncost with
             | None -> cost
             | Some f -> Sim.Stime.add cost (f v)
           in
-          let run_ns = Sim.Stime.to_ns total in
-          h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
-          h.hs.h_allocs :=
-            !(h.hs.h_allocs) + (Packet.Mbuf.total_allocated () - a0);
-          (match h.hs.h_lat with
-          | Some hist -> Observe.Histogram.record hist run_ns
-          | None -> ());
-          flight_note_run d ev v h ~dur_ns:run_ns;
+          note_run d ev v h ~run_ns:(Sim.Stime.to_ns total) ~a0;
           quarantine_check ev h;
           Sim.Stime.add acc total
       | _ -> acc)
@@ -1714,8 +1480,19 @@ let run_hop ev v hids =
    later), so clear it for the call and restore it after. *)
 let graph_escape d rp ev v =
   d.flow <- No_flow;
-  raise_core ev v No_flow;
+  raise_tree ev v No_flow;
   d.flow <- Replaying rp
+
+(* The chain has diverged from the recording: drop the entry (once) and
+   send this raise through graph dispatch. *)
+let replay_diverge d rp ev v =
+  if rp.rp_live then begin
+    rp.rp_live <- false;
+    rp.rp_drop ();
+    incr d.pc_invalidations;
+    cache_invalidate_span d ev.ename "divergent-replay"
+  end;
+  graph_escape d rp ev v
 
 (* A nested raise while replaying: claim the next recorded hop if it
    matches this event and is still current, deferring its execution to
@@ -1743,26 +1520,12 @@ let replay_step ev v rp =
            between claim and run: fall back for this raise if so. *)
         if rp.rp_live && hop_valid hop then run_hop ev v hop.hop_hids
         else begin
-          if rp.rp_live then begin
-            rp.rp_live <- false;
-            rp.rp_drop ();
-            incr d.pc_invalidations;
-            cache_invalidate_span d ev.ename "divergent-replay"
-          end;
-          graph_escape d rp ev v;
+          replay_diverge d rp ev v;
           Sim.Stime.zero
         end)
       rp.rp_pending
   end
-  else begin
-    if rp.rp_live then begin
-      rp.rp_live <- false;
-      rp.rp_drop ();
-      incr d.pc_invalidations;
-      cache_invalidate_span d ev.ename "divergent-replay"
-    end;
-    graph_escape d rp ev v
-  end
+  else replay_diverge d rp ev v
 
 (* A root hit: the whole chain runs synchronously, right now, in the
    caller's context (the device's receive-interrupt work item on the
@@ -1824,7 +1587,7 @@ let record_raise ev v sg =
       rec_ok = true;
     }
   in
-  raise_core ev v (Recording r)
+  raise_tree ev v (Recording r)
 
 (* One raise, flow-cache aware.  [raises]/[ev_raises] already counted by
    the caller.  [prio] (or a sticky override left by an overridden
@@ -1838,16 +1601,16 @@ let dispatch ?prio ev v =
   let over = match prio with Some _ -> prio | None -> d.prio_override in
   match d.flow with
   | Replaying rp -> replay_step ev v rp
-  | Recording _ as flow -> raise_core ?over ev v flow
+  | Recording _ as flow -> raise_tree ?over ev v flow
   | No_flow -> (
       if over <> None || not (d.fcache && ev.mode = Interrupt) then
-        raise_core ?over ev v No_flow
+        raise_tree ?over ev v No_flow
       else
         match ev.sigfn with
-        | None -> raise_core ev v No_flow
+        | None -> raise_tree ev v No_flow
         | Some sigfn -> (
             match sigfn v with
-            | None -> raise_core ev v No_flow (* unsignable: cache bypass *)
+            | None -> raise_tree ev v No_flow (* unsignable: cache bypass *)
             | Some sg -> (
                 match Sharded.Cache.find_opt ev.entries sg with
                 | Some hops when entry_valid hops -> replay_start ev v sg hops

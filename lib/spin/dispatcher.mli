@@ -1,5 +1,5 @@
 (** The SPIN event dispatcher: typed events, guards, handlers and the
-    demux index.
+    merged dispatch tree.
 
     "An event is raised by a kernel service or extension code to announce
     a change in system state or to request a service" (paper, section 2).
@@ -7,12 +7,15 @@
     packet filters — and may be delivered at interrupt level (possibly as
     budget-limited {!Ephemeral} programs) or each on a fresh thread.
 
-    Events may additionally carry a {e dispatch index} (DPF/PathFinder
-    style): handlers whose guard implies a literal equality on a demux
-    field are installed with that equality as a [key]; raising then hashes
-    the payload's key fields once ({!set_keyfn}) and evaluates only the
-    guards in the matching buckets plus the unkeyed linear fallback, so
+    Every raise takes one path through a decision tree compiled from the
+    event's handlers (DPF/PathFinder style): handlers whose guard implies
+    literal equalities on demux fields are installed with them as
+    [keys]; raising reads the payload's key fields once ({!set_keyvfn}),
+    walks to a leaf and evaluates only that leaf's residual guards, so
     raise cost scales with matching handlers, not installed handlers.
+    An event with no extractor, no keyed handler or at most one handler
+    compiles to a {e bare leaf}: the zero-dimension tree, in which every
+    handler's guard is evaluated in install order — a linear scan.
 
     A dispatcher may carry an {!Observe.Registry} (per-event and
     per-handler counters and latency histograms) and an {!Observe.Trace}
@@ -31,12 +34,12 @@ type costs = {
   dispatch : Sim.Stime.t;
   guard : Sim.Stime.t;
   index : Sim.Stime.t;
-      (** charged once per raise on an indexed event, replacing the
-          [guard * installed] scan *)
+      (** charged once per flow-path cache hit: the signature lookup
+          that stands in for the whole chain's demultiplexing *)
   tree_node : Sim.Stime.t;
-      (** charged per decision-tree switch visited on a merged-tree
-          raise (replacing [index] and the per-candidate [guard]
-          charges for tree-proven handlers) *)
+      (** charged per decision-tree switch visited (replacing the
+          [guard] charge for tree-proven handlers); a bare leaf visits
+          none *)
   thread_spawn : Sim.Stime.t;
 }
 
@@ -70,27 +73,18 @@ val name : _ event -> string
 val mode : _ event -> delivery
 val set_mode : _ event -> delivery -> unit
 
-val set_keyfn : 'a event -> ('a -> int list) -> unit
-(** Declare the event's demux-key extractor: the list of dispatch keys a
-    payload presents (e.g. its EtherType, protocol number and ports).
-    Handlers installed with [~key:k] are only considered for payloads
-    whose extracted keys include [k].  Soundness contract: a keyed
-    handler's guard must reject any payload that does not present its
-    key, so the index only ever skips guards that would refuse.  A
-    payload must present at most one key per dimension ([k lsr 16]) —
-    [Filter.context_keys] does by construction. *)
-
 val set_keyvfn : 'a event -> dims:int -> ('a -> int array -> unit) -> unit
-(** Vectored variant of {!set_keyfn}, the allocation-free fast path: the
-    extractor fills slot [d] ([0 <= d < dims]) of a per-event scratch
-    array with the payload's value on key dimension [d], or [-1] when
-    absent.  The extractor must write {e every} slot below [dims] on
-    every call — the scratch is reused without being wiped between
-    raises.  The scratch array is owned and reused by the event, so
-    steady-state dispatch allocates nothing.  Protocol-graph events pass
+(** Declare the event's key extractor: it fills slot [d]
+    ([0 <= d < dims]) of a per-event scratch array with the payload's
+    value on key dimension [d], or [-1] when absent.  The extractor must
+    write {e every} slot below [dims] on every call — the scratch is
+    reused without being wiped between raises, so steady-state dispatch
+    allocates nothing.  Protocol-graph events pass
     [Filter.read_context_keys] with [dims = Filter.num_key_dims].
-    Takes precedence over a list extractor if both are set; same
-    soundness contract as {!set_keyfn}. *)
+    Soundness contract: a handler installed with [~keys] must reject any
+    payload that does not present all of them (key [k] is value
+    [k land 0xffff] on dimension [k lsr 16]), so the tree only ever
+    skips guards that would refuse. *)
 
 (** {1 Merged decision-tree dispatch}
 
@@ -104,16 +98,10 @@ val set_keyvfn : 'a event -> dims:int -> ('a -> int array -> unit) -> unit
     handlers are residuals at every leaf).  The tree is memoized behind
     the event's generation counter and recompiled lazily on the first
     raise after any churn, so the flow-path cache and the per-domain
-    dispatcher instances keep counter-for-counter equivalence.  On by
-    default; {!set_tree_dispatch} ablates it dispatcher-wide and
-    {!set_event_tree} per event. *)
-
-val set_tree_dispatch : t -> bool -> unit
-val tree_dispatch_enabled : t -> bool
-
-val set_event_tree : _ event -> bool -> unit
-(** Per-event opt-out from merged-tree dispatch (bumps the generation,
-    so cached paths through the event revalidate). *)
+    dispatcher instances keep counter-for-counter equivalence.  Events
+    that do not switch (no extractor, no keyed handler, at most one
+    handler) compile to a bare leaf, charged and counted as a linear
+    scan. *)
 
 (** {1 Flow-path cache}
 
@@ -124,7 +112,7 @@ val set_event_tree : _ event -> bool -> unit
     chain replays directly — one signature lookup, zero intermediate
     demux, guards replaced by the signature match.  Every event carries
     a generation counter bumped on install/uninstall/{!set_mode}/
-    {!set_keyfn}/{!touch}; a hit validates every hop's generation in
+    {!set_keyvfn}/{!touch}; a hit validates every hop's generation in
     O(hops), and a stale or divergent chain falls back to graph
     dispatch, so cached delivery is observably equivalent to uncached.
     Disabled by default ({!set_flow_cache}). *)
@@ -172,11 +160,6 @@ val cache_entries : _ event -> int
 (** Live flow-path cache entries rooted at this event. *)
 
 val handler_count : _ event -> int
-val indexed_count : _ event -> int
-(** Handlers installed with a dispatch key. *)
-
-val linear_count : _ event -> int
-(** Handlers in the unkeyed fallback bucket, scanned on every raise. *)
 
 exception
   Install_rejected of {
@@ -202,7 +185,7 @@ val set_quarantine : _ event -> Verifier.quarantine option -> unit
     Drop-spanned with reason ["quarantine"]. *)
 
 val install :
-  'a event -> ?guard:('a -> bool) -> ?key:int -> ?keys:int list ->
+  'a event -> ?guard:('a -> bool) -> ?keys:int list ->
   ?exact:bool -> ?gcost:Sim.Stime.t ->
   ?dyncost:('a -> Sim.Stime.t) -> ?cacheable:bool -> ?label:string ->
   ?ops:Verifier.op list ->
@@ -211,15 +194,15 @@ val install :
     raise whose [guard] accepts the payload, charging [cost] (plus
     [dyncost payload] for data-touching work) of CPU.  [gcost] adds
     per-evaluation guard cost on top of the dispatcher's base guard
-    charge (interpreted packet filters).  [key] places the handler in the
-    event's dispatch index under that key (see {!set_keyfn}); [keys]
-    supplies {e every} key the guard pins (one per dimension,
-    e.g. {!Filter.key_conjuncts}) so the merged decision tree can place
-    the handler on exactly the paths that satisfy all of them — [key]
-    and [keys] are unioned.  [exact] (default [false]) asserts the
-    guard is {e nothing but} those key equalities
+    charge (interpreted packet filters).  [keys] supplies {e every} key
+    the guard pins (one per dimension, e.g. {!Filter.key_conjuncts}; see
+    {!set_keyvfn}) so the merged decision tree places the handler on
+    exactly the paths that satisfy all of them; without keys the handler
+    is a residual at every leaf.  A negative key or one on dimension 64
+    or above raises [Invalid_argument].  [exact] (default [false])
+    asserts the guard is {e nothing but} those key equalities
     ({!Filter.keys_exact}): a tree walk that proves them skips the
-    closure entirely.  [cacheable] (default [false]) asserts that
+    closure entirely; a bare leaf still evaluates it.  [cacheable] (default [false]) asserts that
     [guard]'s verdict is a pure function of the payload's
     flow-signature fields, allowing the flow-path cache to skip it on
     replay; a single non-cacheable candidate on an event keeps every
@@ -234,7 +217,7 @@ val install :
     Returns the uninstaller (O(1)). *)
 
 val install_ephemeral :
-  'a event -> ?guard:('a -> bool) -> ?key:int -> ?keys:int list ->
+  'a event -> ?guard:('a -> bool) -> ?keys:int list ->
   ?exact:bool -> ?gcost:Sim.Stime.t ->
   ?label:string -> ?ops:Verifier.op list -> ?budget:Sim.Stime.t ->
   ('a -> Ephemeral.t) ->
@@ -295,10 +278,10 @@ val swap_inflight : t -> int
     [0] means every old-generation delivery has completed. *)
 
 val raise : ?prio:Sim.Cpu.prio -> 'a event -> 'a -> unit
-(** Raise the event: evaluate the candidate guards (the matching index
-    buckets plus the linear fallback on indexed events; every installed
-    guard otherwise), charging demux cost, and deliver to each accepting
-    handler according to the event's mode.  With the flow-path cache
+(** Raise the event: walk its dispatch tree to a leaf, evaluate the
+    leaf's residual guards (every installed guard on a bare leaf),
+    charging demux cost, and deliver to each proven or accepting handler
+    in install order according to the event's mode.  With the flow-path cache
     enabled and a signature extractor installed, a signable root raise
     is served from (or recorded into) the cache instead.
 
@@ -335,7 +318,7 @@ val path_cache_evictions : t -> int
     capacity (across every event's cache on this dispatcher). *)
 
 val index_lookups : t -> int
-(** Raises that consulted a dispatch index instead of scanning. *)
+(** Raises that walked a switch tree (a bare leaf is not a lookup). *)
 
 val invocations : t -> int
 val terminations : t -> int
@@ -408,7 +391,7 @@ type event_info = {
   ei_generation : int;  (** invalidation generation (see {!touch}) *)
   ei_cache_entries : int;  (** live flow-path cache entries *)
   ei_tree : tree_info option;
-      (** the last compiled merged dispatch tree, if any *)
+      (** the compiled switch tree, if the event's current plan is one *)
   ei_handlers : handler_info list;  (** in install order *)
 }
 
@@ -429,11 +412,11 @@ type tree_view =
 
 val compiled_tree : _ event -> tree_view option
 (** The event's merged dispatch tree, compiling it first if stale.
-    [None] when tree dispatch does not apply (disabled, no key
-    extractor, no keyed handlers, or <=1 handler installed). *)
+    [None] when the event compiles to a bare leaf (no key extractor, no
+    keyed handlers, or <=1 handler installed). *)
 
 val tree_raises : _ event -> int
-(** Raises on this event served by a merged-tree walk. *)
+(** Raises on this event served by a switch-tree walk. *)
 
 val tree_views : t -> (string * tree_view option) list
 (** [compiled_tree] for every event declared on this dispatcher, in

@@ -339,66 +339,18 @@ let compiled_eval_agree =
       && Plexus.Filter.compile_guard f ctx = reference
       && Plexus.Filter.eval (Plexus.Filter.normalize f) ctx = reference)
 
-(* Indexed dispatch delivers to exactly the handlers the linear
-   interpreter would: install the same random filters on two events —
-   unkeyed with interpreted guards, keyed (dispatch_key + context_keys)
-   with compiled guards — and compare the accepted sets per packet. *)
-let indexed_dispatch_agrees =
-  QCheck.Test.make ~count:200 ~name:"indexed dispatch = linear interpreter"
-    QCheck.(
-      make
-        ~print:(fun (fs, ds) ->
-          String.concat "\n"
-            (List.map (fun f -> Format.asprintf "%a" Plexus.Filter.pp f) fs)
-          ^ Printf.sprintf "\n(%d packets)" (List.length ds))
-        Gen.(pair (list_size (1 -- 8) filter_gen) (list_size (1 -- 6) ctx_gen)))
-    (fun (filters, descs) ->
-      let e = Sim.Engine.create () in
-      let cpu = Sim.Cpu.create e ~name:"c" in
-      let d = Spin.Dispatcher.create ~cpu ~costs:Spin.Dispatcher.default_costs () in
-      let linear_ev = Spin.Dispatcher.event d "linear" in
-      let indexed_ev = Spin.Dispatcher.event d "indexed" in
-      Spin.Dispatcher.set_keyfn indexed_ev Plexus.Filter.context_keys;
-      let n = List.length filters in
-      let linear_hits = Array.make n 0 and indexed_hits = Array.make n 0 in
-      List.iteri
-        (fun i f ->
-          let (_ : unit -> unit) =
-            Spin.Dispatcher.install linear_ev
-              ~guard:(Plexus.Filter.eval f)
-              ~cost:Sim.Stime.zero
-              (fun _ -> linear_hits.(i) <- linear_hits.(i) + 1)
-          in
-          let prog = Plexus.Filter.compile f in
-          let (_ : unit -> unit) =
-            Spin.Dispatcher.install indexed_ev
-              ~guard:(Plexus.Filter.run prog)
-              ?key:(Plexus.Filter.dispatch_key f)
-              ~cost:Sim.Stime.zero
-              (fun _ -> indexed_hits.(i) <- indexed_hits.(i) + 1)
-          in
-          ())
-        filters;
-      List.iter
-        (fun desc ->
-          let ctx = make_ctx desc in
-          Spin.Dispatcher.raise linear_ev ctx;
-          Spin.Dispatcher.raise indexed_ev ctx;
-          Sim.Engine.run e)
-        descs;
-      linear_hits = indexed_hits)
-
-(* The merged decision tree delivers to exactly the handlers — in exactly
-   the order — that both the bucket index and the linear interpreter
-   would, under random install/uninstall churn.  Three events share one
-   dispatcher: [linear] (no extractor), [indexed] (bucket index, tree
-   ablated per-event), [tree] (vectored extractor, tree on).  Handlers
-   mix tree-expressible guards (keys from [Filter.key_conjuncts], exact
-   iff [Filter.keys_exact]) with opaque closures the tree can only
-   attach as leaf residuals; toggling a handler bumps the generation
-   mid-churn, forcing incremental rebuilds.  Delivery order is recorded
-   per event, not just hit counts: the tree's exact/residual merge must
-   reproduce scan order. *)
+(* Dispatch delivers to exactly the handlers — in exactly the order —
+   that a pure model would: the live handlers in install order, filtered
+   by [Filter.eval], under random install/uninstall churn.  Two events
+   share one dispatcher: [tree] (vectored extractor, so it compiles a
+   switch tree once it holds two handlers and a keyed one) and [bare]
+   (no extractor, so it always compiles to a bare leaf).  Both get the
+   same installs: tree-expressible guards (keys from
+   [Filter.key_conjuncts], exact iff [Filter.keys_exact]) mixed with
+   opaque closures the tree can only attach as leaf residuals.  Toggling
+   a handler bumps the generation mid-churn, forcing recompiles.  The
+   delivery order is compared, not just hit counts: the tree's
+   exact/residual merge must reproduce install order. *)
 type churn_step = Fire of ctx_desc | Toggle of int
 
 let churn_gen =
@@ -437,7 +389,7 @@ let arb_tree_churn =
 
 let tree_dispatch_agrees =
   QCheck.Test.make ~count:200
-    ~name:"tree dispatch = bucket index = linear interpreter"
+    ~name:"tree and bare-leaf dispatch = install-order model"
     arb_tree_churn
     (fun ((filters, opaque), steps) ->
       let filters = Array.of_list filters in
@@ -447,52 +399,45 @@ let tree_dispatch_agrees =
       let d =
         Spin.Dispatcher.create ~cpu ~costs:Spin.Dispatcher.default_costs ()
       in
-      let linear_ev = Spin.Dispatcher.event d "linear" in
-      let indexed_ev = Spin.Dispatcher.event d "indexed" in
       let tree_ev = Spin.Dispatcher.event d "tree" in
-      Spin.Dispatcher.set_keyfn indexed_ev Plexus.Filter.context_keys;
-      Spin.Dispatcher.set_event_tree indexed_ev false;
+      let bare_ev = Spin.Dispatcher.event d "bare" in
       Spin.Dispatcher.set_keyvfn tree_ev ~dims:Plexus.Filter.num_key_dims
         Plexus.Filter.read_context_keys;
       let n = Array.length filters in
       (* delivery sequences, most recent first: handler index per firing *)
-      let linear_seq = ref [] and indexed_seq = ref [] and tree_seq = ref [] in
+      let model_seq = ref [] and tree_seq = ref [] and bare_seq = ref [] in
+      (* the model: live handler indices, most recently installed first *)
+      let live = ref [] in
       let uninstalls = Array.make n None in
       let install_all i =
         let f = filters.(i) in
         let prog = Plexus.Filter.compile f in
-        let un_l =
-          Spin.Dispatcher.install linear_ev
-            ~guard:(Plexus.Filter.eval f)
-            ~cost:Sim.Stime.zero
-            (fun _ -> linear_seq := i :: !linear_seq)
-        in
-        let un_i =
-          Spin.Dispatcher.install indexed_ev
-            ~guard:(Plexus.Filter.run prog)
-            ?key:(Plexus.Filter.dispatch_key f)
-            ~cost:Sim.Stime.zero
-            (fun _ -> indexed_seq := i :: !indexed_seq)
-        in
-        let un_t =
+        let install ev seq =
           (* an "opaque" handler hides its structure from the compiler:
              the tree must fall back to evaluating it as a residual at
              every leaf it could reach *)
           if opaque.(i) then
-            Spin.Dispatcher.install tree_ev
+            Spin.Dispatcher.install ev
               ~guard:(Plexus.Filter.run prog)
               ~cost:Sim.Stime.zero
-              (fun _ -> tree_seq := i :: !tree_seq)
+              (fun _ -> seq := i :: !seq)
           else
-            Spin.Dispatcher.install tree_ev
+            Spin.Dispatcher.install ev
               ~guard:(Plexus.Filter.run prog)
-              ?key:(Plexus.Filter.dispatch_key f)
               ~keys:(Plexus.Filter.key_conjuncts f)
               ~exact:(Plexus.Filter.keys_exact f)
               ~cost:Sim.Stime.zero
-              (fun _ -> tree_seq := i :: !tree_seq)
+              (fun _ -> seq := i :: !seq)
         in
-        uninstalls.(i) <- Some (fun () -> un_l (); un_i (); un_t ())
+        let un_t = install tree_ev tree_seq in
+        let un_b = install bare_ev bare_seq in
+        live := i :: !live;
+        uninstalls.(i) <-
+          Some
+            (fun () ->
+              un_t ();
+              un_b ();
+              live := List.filter (fun j -> j <> i) !live)
       in
       for i = 0 to n - 1 do install_all i done;
       List.iter
@@ -500,7 +445,7 @@ let tree_dispatch_agrees =
           match step with
           | Toggle i -> (
               (* uninstall if installed, reinstall fresh otherwise: either
-                 way the generation bumps and the tree must rebuild *)
+                 way the generation bumps and the plan must recompile *)
               match uninstalls.(i) with
               | Some un ->
                   un ();
@@ -508,14 +453,18 @@ let tree_dispatch_agrees =
               | None -> install_all i)
           | Fire desc ->
               let ctx = make_ctx desc in
-              Spin.Dispatcher.raise linear_ev ctx;
-              Spin.Dispatcher.raise indexed_ev ctx;
+              List.iter
+                (fun i ->
+                  if Plexus.Filter.eval filters.(i) ctx then
+                    model_seq := i :: !model_seq)
+                (List.rev !live);
               Spin.Dispatcher.raise tree_ev ctx;
+              Spin.Dispatcher.raise bare_ev ctx;
               Sim.Engine.run e)
         steps;
       Spin.Dispatcher.faults d = 0
-      && !tree_seq = !linear_seq
-      && !tree_seq = !indexed_seq)
+      && !tree_seq = !model_seq
+      && !bare_seq = !model_seq)
 
 let suite =
   suite
@@ -523,7 +472,6 @@ let suite =
       ( "fuzz.filter",
         [
           prop compiled_eval_agree;
-          prop indexed_dispatch_agrees;
           prop tree_dispatch_agrees;
         ] );
     ]

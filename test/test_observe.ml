@@ -725,9 +725,9 @@ let dispatcher_dump () =
     Spin.Dispatcher.create ~cpu ~costs:Spin.Dispatcher.default_costs ()
   in
   let ev = Spin.Dispatcher.event d "e" in
-  Spin.Dispatcher.set_keyfn ev (fun x -> [ x ]);
+  Spin.Dispatcher.set_keyvfn ev ~dims:1 (fun x dst -> dst.(0) <- x);
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~label:"keyed" ~key:3
+    Spin.Dispatcher.install ev ~label:"keyed" ~keys:[ 3 ]
       ~guard:(fun x -> x = 3)
       ~cost:Sim.Stime.zero
       (fun _ -> ())

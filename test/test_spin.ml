@@ -504,7 +504,7 @@ let suite =
    only sees raises of [k]. *)
 let mk_keyed_event d =
   let ev = Spin.Dispatcher.event d "keyed" in
-  Spin.Dispatcher.set_keyfn ev (fun x -> [ x ]);
+  Spin.Dispatcher.set_keyvfn ev ~dims:1 (fun x dst -> dst.(0) <- x);
   ev
 
 let keyed_skips_other_buckets () =
@@ -513,14 +513,12 @@ let keyed_skips_other_buckets () =
   let hits = Array.make 4 0 in
   for k = 0 to 3 do
     let (_ : unit -> unit) =
-      Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~key:k
+      Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~keys:[ k ]
         ~cost:Sim.Stime.zero
         (fun _ -> hits.(k) <- hits.(k) + 1)
     in
     ()
   done;
-  Alcotest.(check int) "all keyed" 4 (Spin.Dispatcher.indexed_count ev);
-  Alcotest.(check int) "none linear" 0 (Spin.Dispatcher.linear_count ev);
   List.iter (Spin.Dispatcher.raise ev) [ 2; 2; 3 ];
   Sim.Engine.run e;
   Alcotest.(check (list int)) "only matching buckets fired" [ 0; 0; 2; 1 ]
@@ -529,25 +527,25 @@ let keyed_skips_other_buckets () =
      other three *)
   Alcotest.(check int) "guard evals = candidates only" 3
     (Spin.Dispatcher.guard_evals d);
-  Alcotest.(check int) "every raise used the index" 3
+  Alcotest.(check int) "every raise walked the tree" 3
     (Spin.Dispatcher.index_lookups d)
 
-(* Install order is preserved even when delivery mixes index buckets and
-   the unkeyed linear fallback. *)
+(* Install order is preserved even when delivery mixes keyed handlers
+   and unkeyed residuals. *)
 let keyed_preserves_install_order () =
   let e, _, d = mk_dispatcher () in
   let ev = mk_keyed_event d in
   let order = ref [] in
   let record tag = fun _ -> order := tag :: !order in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 7) ~key:7
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 7) ~keys:[ 7 ]
       ~cost:Sim.Stime.zero (record "k1")
   in
   let (_ : unit -> unit) =
     Spin.Dispatcher.install ev ~cost:Sim.Stime.zero (record "u1")
   in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 7) ~key:7
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 7) ~keys:[ 7 ]
       ~cost:Sim.Stime.zero (record "k2")
   in
   let (_ : unit -> unit) =
@@ -555,7 +553,7 @@ let keyed_preserves_install_order () =
   in
   Spin.Dispatcher.raise ev 7;
   Sim.Engine.run e;
-  Alcotest.(check (list string)) "bucket and linear interleave in install order"
+  Alcotest.(check (list string)) "keyed and unkeyed interleave in install order"
     [ "k1"; "u1"; "k2"; "u2" ] (List.rev !order)
 
 let keyed_uninstall_while_queued () =
@@ -563,7 +561,7 @@ let keyed_uninstall_while_queued () =
   let ev = mk_keyed_event d in
   let n = ref 0 in
   let un =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1) ~key:1
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1) ~keys:[ 1 ]
       ~cost:Sim.Stime.zero (fun _ -> incr n)
   in
   Spin.Dispatcher.raise ev 1;
@@ -571,8 +569,7 @@ let keyed_uninstall_while_queued () =
   un ();
   Sim.Engine.run e;
   Alcotest.(check int) "uninstalled-while-queued does not fire" 0 !n;
-  Alcotest.(check int) "bucket bookkeeping" 0 (Spin.Dispatcher.indexed_count ev);
-  (* the key's bucket is gone; a fresh raise hits an empty candidate set *)
+  (* a fresh raise reaches an empty leaf *)
   Spin.Dispatcher.raise ev 1;
   Sim.Engine.run e;
   Alcotest.(check int) "still silent" 0 !n
@@ -580,13 +577,13 @@ let keyed_uninstall_while_queued () =
 let keyed_raise_cost () =
   let e, cpu, d = mk_dispatcher () in
   let ev = mk_keyed_event d in
-  (* two buckets; only one is consulted *)
+  (* two keyed handlers; only one is on the raise's path *)
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1) ~key:1 ~cost:(us 10)
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1) ~keys:[ 1 ] ~cost:(us 10)
       ignore
   in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 2) ~key:2 ~cost:(us 10)
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 2) ~keys:[ 2 ] ~cost:(us 10)
       ignore
   in
   Spin.Dispatcher.raise ev 1;
@@ -596,13 +593,6 @@ let keyed_raise_cost () =
      handler's guard is neither run nor charged *)
   Alcotest.(check int) "tree raise charges the walk + matching guards"
     10_800
-    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu));
-  (* and the bucket-index ablation charges hash + guard instead *)
-  Spin.Dispatcher.set_tree_dispatch d false;
-  Spin.Dispatcher.raise ev 1;
-  Sim.Engine.run e;
-  Alcotest.(check int) "indexed raise charges one hash + matching guards"
-    (10_800 + 10_950)
     (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
 
 let keyed_guard_fault_contained () =
@@ -610,18 +600,18 @@ let keyed_guard_fault_contained () =
   let ev = mk_keyed_event d in
   let survivor = ref 0 in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun _ -> failwith "bad guard") ~key:5
+    Spin.Dispatcher.install ev ~guard:(fun _ -> failwith "bad guard") ~keys:[ 5 ]
       ~cost:Sim.Stime.zero ignore
   in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 5) ~key:5
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 5) ~keys:[ 5 ]
       ~cost:Sim.Stime.zero (fun _ -> incr survivor)
   in
   Spin.Dispatcher.raise ev 5;
   Sim.Engine.run e;
   Alcotest.(check int) "fault counted" 1 (Spin.Dispatcher.faults d);
   Alcotest.(check int) "faulting handler uninstalled" 1
-    (Spin.Dispatcher.indexed_count ev);
+    (Spin.Dispatcher.handler_count ev);
   Alcotest.(check int) "same-bucket survivor still fired" 1 !survivor
 
 (* The model property again, but against a keyed event with handlers
@@ -634,7 +624,7 @@ let keyed_install_model =
       let cpu = Sim.Cpu.create e ~name:"c" in
       let d = Spin.Dispatcher.create ~cpu ~costs:Spin.Dispatcher.default_costs () in
       let ev = Spin.Dispatcher.event d "m" in
-      Spin.Dispatcher.set_keyfn ev (fun x -> [ x ]);
+      Spin.Dispatcher.set_keyvfn ev ~dims:1 (fun x dst -> dst.(0) <- x);
       let installed : (int, int ref * (unit -> unit)) Hashtbl.t =
         Hashtbl.create 8
       in
@@ -647,7 +637,8 @@ let keyed_install_model =
               match key with None -> fun _ -> true | Some k -> fun x -> x = k
             in
             let un =
-              Spin.Dispatcher.install ev ~guard ?key ~cost:Sim.Stime.zero
+              Spin.Dispatcher.install ev ~guard ~keys:(Option.to_list key)
+                ~cost:Sim.Stime.zero
                 (fun _ -> incr counter)
             in
             Hashtbl.replace installed !next (counter, un);
@@ -668,9 +659,6 @@ let keyed_install_model =
         ops;
       Alcotest.(check int) "count matches model" (Hashtbl.length installed)
         (Spin.Dispatcher.handler_count ev);
-      Alcotest.(check int) "keyed + linear = total"
-        (Spin.Dispatcher.handler_count ev)
-        (Spin.Dispatcher.indexed_count ev + Spin.Dispatcher.linear_count ev);
       (* raise every key value: each surviving handler must fire exactly
          once (keyed ones on their own key's raise, unkeyed on all four —
          so unkeyed fire 4x) *)
@@ -710,7 +698,7 @@ let tree_merges_and_skips () =
   let (_ : unit -> unit) =
     Spin.Dispatcher.install ev
       ~guard:(fun (a, b) -> incr evals; a = 1 && b mod 2 = 0)
-      ~key:(key 0 1) ~cost:Sim.Stime.zero (hit "resid1x")
+      ~keys:[ key 0 1 ] ~cost:Sim.Stime.zero (hit "resid1x")
   in
   (* pins two values on one dimension: unsatisfiable, dropped *)
   let (_ : unit -> unit) =
@@ -749,7 +737,7 @@ let tree_rebuilds_on_churn () =
   let ev = mk_keyed_event d in
   let hits = Array.make 3 0 in
   let ins k =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~key:k ~exact:true
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~keys:[ k ] ~exact:true
       ~cost:Sim.Stime.zero (fun _ -> hits.(k) <- hits.(k) + 1)
   in
   let un0 = ins 0 in
@@ -764,6 +752,83 @@ let tree_rebuilds_on_churn () =
   Alcotest.(check (list int)) "rebuilt tree routes the new set" [ 1; 0; 1 ]
     (Array.to_list hits)
 
+(* Events that do not switch compile to a bare leaf, which must charge
+   and count exactly like the linear scan it replaces: no tree switch, no
+   index lookup, every handler's guard evaluated and charged. *)
+let bare_leaf_accounting () =
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"cpu" in
+  let reg = Observe.Registry.create () in
+  let d =
+    Spin.Dispatcher.create ~registry:reg ~cpu
+      ~costs:Spin.Dispatcher.default_costs ()
+  in
+  let counter name = !(Observe.Registry.counter reg name) in
+  let busy () = Sim.Stime.to_ns (Sim.Cpu.busy_time cpu) in
+  (* (a) an extractor and one exact keyed handler: the guard still runs *)
+  let keyed = mk_keyed_event d in
+  let calls = ref 0 in
+  let (_ : unit -> unit) =
+    Spin.Dispatcher.install keyed ~keys:[ 3 ] ~exact:true
+      ~guard:(fun x -> incr calls; x = 3)
+      ~cost:Sim.Stime.zero ignore
+  in
+  Spin.Dispatcher.raise keyed 3;
+  Sim.Engine.run e;
+  Alcotest.(check int) "dispatch + one guard" (400 + 300) (busy ());
+  Alcotest.(check int) "guard called once" 1 !calls;
+  Alcotest.(check int) "no index lookup" 0 (Spin.Dispatcher.index_lookups d);
+  Alcotest.(check int) "counted as indexed" 1
+    (counter "spin.keyed.indexed_raises");
+  Alcotest.(check int) "no tree raise" 0 (counter "spin.keyed.tree.raises");
+  Alcotest.(check bool) "no compiled tree" true
+    (Spin.Dispatcher.compiled_tree keyed = None);
+  Alcotest.(check bool) "dump shows no tree" true
+    (List.for_all
+       (fun ei -> ei.Spin.Dispatcher.ei_tree = None)
+       (Spin.Dispatcher.dump d));
+  (* (b) no extractor, three handlers: a linear scan of all three *)
+  let plain = Spin.Dispatcher.event d "plain" in
+  for _ = 1 to 3 do
+    let (_ : unit -> unit) =
+      Spin.Dispatcher.install plain ~cost:Sim.Stime.zero ignore
+    in
+    ()
+  done;
+  Spin.Dispatcher.raise plain 0;
+  Sim.Engine.run e;
+  Alcotest.(check int) "dispatch + three guards" (700 + 400 + (3 * 300))
+    (busy ());
+  Alcotest.(check int) "counted as linear" 1 (counter "spin.plain.linear_raises");
+  Alcotest.(check int) "all guards evaluated" 4 (Spin.Dispatcher.guard_evals d);
+  Alcotest.(check int) "still no index lookup" 0
+    (Spin.Dispatcher.index_lookups d)
+
+(* Keys the tree cannot hold are refused at install, not silently
+   demoted: negative keys and dimensions at or beyond the tree's bound. *)
+let install_rejects_bad_keys () =
+  let _, _, d = mk_dispatcher () in
+  let ev = mk_keyed_event d in
+  let rejects what install =
+    Alcotest.(check bool) what true
+      (match install () with
+      | (_ : unit -> unit) -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let plain keys () =
+    Spin.Dispatcher.install ev ~keys ~cost:Sim.Stime.zero ignore
+  in
+  rejects "negative key" (plain [ -1 ]);
+  rejects "dimension 64" (plain [ (64 lsl 16) lor 1 ]);
+  rejects "one bad key among good" (plain [ 7; (100 lsl 16) lor 7 ]);
+  rejects "ephemeral install checks too" (fun () ->
+      Spin.Dispatcher.install_ephemeral ev ~keys:[ -5 ] (fun _ ->
+          Spin.Ephemeral.nothing));
+  Alcotest.(check int) "nothing installed" 0 (Spin.Dispatcher.handler_count ev);
+  let (_ : unit -> unit) = plain [ (63 lsl 16) lor 0xffff ] () in
+  Alcotest.(check int) "dimension 63 accepted" 1
+    (Spin.Dispatcher.handler_count ev)
+
 let suite =
   suite
   @ [
@@ -775,6 +840,8 @@ let suite =
           tc "indexed raise cost" keyed_raise_cost;
           tc "guard fault in a bucket" keyed_guard_fault_contained;
           prop keyed_install_model;
+          tc "bare leaf charges and counts a scan" bare_leaf_accounting;
+          tc "install rejects keys beyond the tree" install_rejects_bad_keys;
         ] );
       ( "spin.dispatch_tree",
         [
