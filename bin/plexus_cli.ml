@@ -475,6 +475,7 @@ let run_all iters =
   ignore (Experiments.Livelock.print ());
   Experiments.Motivate.print ();
   ignore (Experiments.Http_bench.print ~iters:(min iters 30) ());
+  ignore (Experiments.Farm.print ());
   Experiments.Ablate.print ()
 
 let fig5_cmd =
