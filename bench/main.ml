@@ -123,6 +123,16 @@ let bechamel tests =
       | _ -> None)
     tests
 
+(* Minor-heap words per call of [f] over [n] calls after one warm-up
+   call: deterministic for a fixed code path, so gates can pin it. *)
+let minor_words ~n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 (* A subject timed in interleaved rounds: [op ()] performs one
    operation and returns how many units (ops, packets) it covered. *)
 type timed = { tname : string; warm : int; iters : int; op : unit -> int }
@@ -264,7 +274,17 @@ let test_ephemeral_plan =
            (Sys.opaque_identity
               (Spin.Ephemeral.execute ~budget:(Sim.Stime.us 12) prog))))
 
+(* One event through the simulation engine: the node it allocates is the
+   whole cost, the thunk being static. *)
+let engine_event_words () =
+  let e = Sim.Engine.create () in
+  let static_thunk () = () in
+  minor_words ~n:100_000 (fun () ->
+      ignore (Sim.Engine.schedule_in e ~delay:(Sim.Stime.us 1) static_thunk);
+      Sim.Engine.run e)
+
 let micro ~max_domains:_ =
+  let engine_words = engine_event_words () in
   ( bechamel
       [
         test_direct_call;
@@ -277,8 +297,11 @@ let micro ~max_domains:_ =
         test_tcp_encode;
         test_link_unlink;
         test_ephemeral_plan;
-      ],
-    [] )
+      ]
+    @ [ value ~unit:"words_per_op" "engine event (schedule+run): minor words"
+          engine_words ],
+    [ gate "engine event (schedule+run): minor words <= 12" ( <= ) engine_words
+        12. ] )
 
 (* ---- dispatch: linear scan vs. merged tree, packet filters ------------ *)
 
@@ -519,6 +542,9 @@ let datapath ~max_domains:_ =
   Metrics.reset ();
   let frags = List.length (Proto.Ip_frag.fragment ~mtu:1500 big) in
   let frag = Metrics.snapshot () in
+  (* on a pair of its own: the copy/alloc counters above see the same
+     simulated history as before this subject existed *)
+  let rt_words = minor_words ~n:2_000 (round_trip (udp_pair ())) in
   (* (name, measured, required) *)
   let counters =
     [
@@ -531,12 +557,17 @@ let datapath ~max_domains:_ =
       ("fragment 12.5KB: fragments", frags, 9);
     ]
   in
-  ( timed @ List.map (fun (name, n, _) -> count name n) counters,
-    List.map
-      (fun (name, n, want) ->
-        gate (Printf.sprintf "%s = %d" name want) ( = ) (float_of_int n)
-          (float_of_int want))
-      counters )
+  ( timed
+    @ value ~unit:"words_per_op" "udp round trip (1000B, full stack): minor words"
+        rt_words
+      :: List.map (fun (name, n, _) -> count name n) counters,
+    gate "udp round trip (1000B, full stack): minor words per op <= 673"
+      ( <= ) rt_words 673.
+    :: List.map
+         (fun (name, n, want) ->
+           gate (Printf.sprintf "%s = %d" name want) ( = ) (float_of_int n)
+             (float_of_int want))
+         counters )
 
 (* ---- flowcache: the per-flow fast path -------------------------------- *)
 

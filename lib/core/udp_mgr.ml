@@ -49,8 +49,9 @@ let proto_guard t ctx =
   | None -> false
 
 (* Flight-recorder terminal stages: a sampled packet's timeline ends
-   here, with end-to-end latency from ingress as the stage duration. *)
-let flight_finish graph ctx stage =
+   here, with end-to-end latency from ingress as the stage duration.  The
+   stage is [stage arg], built only for a sampled packet. *)
+let flight_finish graph ctx stage arg =
   let fl = Graph.flight graph in
   if Observe.Flight.enabled fl then begin
     let pkt = Mbuf.mark ctx.Pctx.pkt in
@@ -58,10 +59,15 @@ let flight_finish graph ctx stage =
       let at_ns = Sim.Stime.to_ns (Spin.Kernel.now (Graph.kernel graph)) in
       Observe.Flight.note fl ~pkt ~at_ns
         ~dur_ns:(Observe.Flight.since_ingress fl ~pkt ~at_ns)
-        stage;
+        (stage arg);
       Observe.Flight.finish fl ~pkt
     end
   end
+
+let deliver_stage port =
+  Observe.Flight.Deliver { scope = Printf.sprintf "udp:%d" port }
+
+let drop_stage reason = Observe.Flight.Drop { scope = "udp"; reason }
 
 let drop_span graph ctx ~reason =
   let tr = Graph.trace graph in
@@ -72,7 +78,7 @@ let drop_span graph ctx ~reason =
           Sim.Stime.to_ns (Spin.Kernel.now (Graph.kernel graph));
         event = Observe.Trace.Drop { scope = "udp"; reason };
       };
-  flight_finish graph ctx (Observe.Flight.Drop { scope = "udp"; reason })
+  flight_finish graph ctx drop_stage reason
 
 let create graph ip =
   let costs = Netsim.Host.costs (Graph.host graph) in
@@ -125,12 +131,7 @@ let create graph ip =
           in
           if Spin.Sharded.Table.mem t.binds h.Proto.Udp.dst_port then begin
             t.counters.delivered <- t.counters.delivered + 1;
-            flight_finish graph ctx
-              (Observe.Flight.Deliver
-                 {
-                   scope =
-                     Printf.sprintf "udp:%d" h.Proto.Udp.dst_port;
-                 });
+            flight_finish graph ctx deliver_stage h.Proto.Udp.dst_port;
             Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
           end
           else begin

@@ -227,15 +227,20 @@ let admission_backlog t =
 
 let pio_cost t len = Costs.per_byte t.params.Costs.pio_ns_per_byte len
 
+let tracing t =
+  match t.otrace with Some tr -> Observe.Trace.active tr | None -> false
+
+(* Callers test [tracing] first, so a span's detail is built only when
+   the span is emitted. *)
 let fault_span t ~fault ~detail =
   match t.otrace with
-  | Some tr when Observe.Trace.active tr ->
+  | Some tr ->
       Observe.Trace.emit tr
         {
           Observe.Trace.at_ns = Sim.Stime.to_ns (Sim.Engine.now t.engine);
           event = Observe.Trace.Wire_fault { link = t.name; fault; detail };
         }
-  | _ -> ()
+  | None -> ()
 
 (* Queue depths and drop counts as sampling gauges — read at registry
    snapshot time only, nothing on the per-frame path. *)
@@ -450,7 +455,7 @@ let apply_faults t peer plan frame ~len ~now =
       t.counters.wire_drops <- t.counters.wire_drops + 1;
       if Sim.Trace.on () then
         Sim.Trace.drop now ~scope:t.name ~reason:("wire_" ^ why);
-      fault_span t ~fault:why ~detail:"";
+      if tracing t then fault_span t ~fault:why ~detail:"";
       Mbuf.free frame
   | Faults.Deliver copies ->
       let frames =
@@ -459,7 +464,7 @@ let apply_faults t peer plan frame ~len ~now =
         | ds ->
             let dup = List.map (fun d -> (d, Mbuf.ro (Mbuf.copy_rw frame))) ds in
             Mbuf.free frame;
-            fault_span t ~fault:"duplicate" ~detail:"";
+            if tracing t then fault_span t ~fault:"duplicate" ~detail:"";
             dup
       in
       List.iter
@@ -472,11 +477,12 @@ let apply_faults t peer plan frame ~len ~now =
                 let v = Mbuf.view c in
                 View.set_u8 v off (View.get_u8 v off lxor d.Faults.xor_mask);
                 Mbuf.free f;
-                fault_span t ~fault:"corrupt"
-                  ~detail:(Printf.sprintf "off=%d mask=%#x" off d.Faults.xor_mask);
+                if tracing t then
+                  fault_span t ~fault:"corrupt"
+                    ~detail:(Printf.sprintf "off=%d mask=%#x" off d.Faults.xor_mask);
                 Mbuf.ro c
           in
-          if Sim.Stime.is_positive d.Faults.extra_delay then
+          if Sim.Stime.is_positive d.Faults.extra_delay && tracing t then
             fault_span t ~fault:"delay"
               ~detail:(Sim.Stime.to_string d.Faults.extra_delay);
           let delay = Sim.Stime.add t.params.Costs.prop_delay d.Faults.extra_delay in
@@ -538,7 +544,7 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
                        Sim.Trace.drop
                          (Sim.Engine.now t.engine)
                          ~scope:t.name ~reason:"wire_loss";
-                     fault_span t ~fault:"loss" ~detail:"";
+                     if tracing t then fault_span t ~fault:"loss" ~detail:"";
                      Mbuf.free frame
                    end
                    else

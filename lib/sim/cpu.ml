@@ -12,18 +12,30 @@
 
 type prio = Interrupt | Thread
 
-type work = { cost : Stime.t; k : unit -> unit }
+(* A FIFO of work items as two parallel arrays in a power-of-two ring, so
+   queueing an item allocates nothing once the ring has grown. *)
+type ring = {
+  mutable costs : Stime.t array;
+  mutable ks : (unit -> unit) array;
+  mutable head : int;
+  mutable len : int;
+}
 
 type t = {
   engine : Engine.t;
   name : string;
-  intr_q : work Queue.t;
-  thread_q : work Queue.t;
-  mutable resumed : work option;  (* preempted thread work, served first *)
+  intr_q : ring;
+  thread_q : ring; (* preempted thread work re-enters at its head *)
   mutable busy : bool;
   mutable preemptive : bool;
-  mutable current : (work * prio * Stime.t * Engine.handle) option;
-      (* item in service: work, priority, start time, completion event *)
+  (* the item in service, valid while [serving] *)
+  mutable serving : bool;
+  mutable cur_cost : Stime.t;
+  mutable cur_k : unit -> unit;
+  mutable cur_prio : prio;
+  mutable cur_started : Stime.t;
+  mutable cur_done : Engine.handle; (* its completion event *)
+  complete : unit -> unit; (* the completion thunk, shared by every item *)
   mutable reserved_until : Stime.t;
       (* CPU time charged inline via [charge], with no work item of its
          own: service of queued work is pushed past this instant *)
@@ -33,22 +45,97 @@ type t = {
   mutable served : int;
 }
 
+let noop () = ()
+
+let ring () =
+  { costs = Array.make 8 Stime.zero; ks = Array.make 8 noop; head = 0; len = 0 }
+
+let grow r =
+  let cap = Array.length r.ks in
+  let costs = Array.make (2 * cap) Stime.zero and ks = Array.make (2 * cap) noop in
+  for i = 0 to r.len - 1 do
+    let j = (r.head + i) land (cap - 1) in
+    costs.(i) <- r.costs.(j);
+    ks.(i) <- r.ks.(j)
+  done;
+  r.costs <- costs;
+  r.ks <- ks;
+  r.head <- 0
+
+let push r cost k =
+  if r.len = Array.length r.ks then grow r;
+  let i = (r.head + r.len) land (Array.length r.ks - 1) in
+  r.costs.(i) <- cost;
+  r.ks.(i) <- k;
+  r.len <- r.len + 1
+
+let push_front r cost k =
+  if r.len = Array.length r.ks then grow r;
+  let i = (r.head - 1) land (Array.length r.ks - 1) in
+  r.costs.(i) <- cost;
+  r.ks.(i) <- k;
+  r.head <- i;
+  r.len <- r.len + 1
+
+let serve t ~cost k prio =
+  t.busy <- true;
+  let started = Engine.now t.engine in
+  (* an outstanding inline charge delays service of queued work *)
+  let wait = Stime.max Stime.zero (Stime.sub t.reserved_until started) in
+  t.serving <- true;
+  t.cur_cost <- cost;
+  t.cur_k <- k;
+  t.cur_prio <- prio;
+  t.cur_started <- started;
+  t.cur_done <- Engine.schedule_in t.engine ~delay:(Stime.add wait cost) t.complete
+
+let serve_head t r prio =
+  let i = r.head in
+  let cost = r.costs.(i) and k = r.ks.(i) in
+  r.ks.(i) <- noop;
+  r.head <- (i + 1) land (Array.length r.ks - 1);
+  r.len <- r.len - 1;
+  serve t ~cost k prio
+
+let service t =
+  if t.intr_q.len > 0 then serve_head t t.intr_q Interrupt
+  else if t.thread_q.len > 0 then serve_head t t.thread_q Thread
+  else t.busy <- false
+
+let complete t =
+  let cost = t.cur_cost and k = t.cur_k in
+  t.serving <- false;
+  t.cur_k <- noop;
+  t.busy_ns <- Stime.add t.busy_ns cost;
+  t.window_busy <- Stime.add t.window_busy cost;
+  t.served <- t.served + 1;
+  k ();
+  service t
+
 let create engine ~name =
-  {
-    engine;
-    name;
-    intr_q = Queue.create ();
-    thread_q = Queue.create ();
-    resumed = None;
-    busy = false;
-    preemptive = false;
-    current = None;
-    reserved_until = Stime.zero;
-    busy_ns = Stime.zero;
-    window_start = Stime.zero;
-    window_busy = Stime.zero;
-    served = 0;
-  }
+  let rec t =
+    {
+      engine;
+      name;
+      intr_q = ring ();
+      thread_q = ring ();
+      busy = false;
+      preemptive = false;
+      serving = false;
+      cur_cost = Stime.zero;
+      cur_k = noop;
+      cur_prio = Thread;
+      cur_started = Stime.zero;
+      cur_done = Engine.null_handle engine;
+      complete = (fun () -> complete t);
+      reserved_until = Stime.zero;
+      busy_ns = Stime.zero;
+      window_start = Stime.zero;
+      window_busy = Stime.zero;
+      served = 0;
+    }
+  in
+  t
 
 let name t = t.name
 let engine t = t.engine
@@ -62,55 +149,20 @@ let served t = t.served
 let set_preemptive t flag = t.preemptive <- flag
 let preemptive t = t.preemptive
 
-let rec service t =
-  let next =
-    if not (Queue.is_empty t.intr_q) then Some (Queue.pop t.intr_q, Interrupt)
-    else
-      match t.resumed with
-      | Some w ->
-          t.resumed <- None;
-          Some (w, Thread)
-      | None ->
-          if not (Queue.is_empty t.thread_q) then
-            Some (Queue.pop t.thread_q, Thread)
-          else None
-  in
-  match next with
-  | None ->
-      t.busy <- false;
-      t.current <- None
-  | Some (w, prio) -> serve t w prio
-
-and serve t w prio =
-  t.busy <- true;
-  let started = Engine.now t.engine in
-  (* an outstanding inline charge delays service of queued work *)
-  let wait = Stime.max Stime.zero (Stime.sub t.reserved_until started) in
-  let handle =
-    Engine.schedule_in t.engine ~delay:(Stime.add wait w.cost) (fun () ->
-        t.current <- None;
-        t.busy_ns <- Stime.add t.busy_ns w.cost;
-        t.window_busy <- Stime.add t.window_busy w.cost;
-        t.served <- t.served + 1;
-        w.k ();
-        service t)
-  in
-  t.current <- Some (w, prio, started, handle)
-
 (* Suspend in-service thread work so that a just-arrived interrupt runs
    immediately; the consumed slice is charged now and the remainder goes
    back to the head of the line. *)
 let preempt t =
-  match t.current with
-  | Some (w, Thread, started, handle) ->
-      Engine.cancel handle;
-      let consumed = Stime.sub (Engine.now t.engine) started in
-      t.busy_ns <- Stime.add t.busy_ns consumed;
-      t.window_busy <- Stime.add t.window_busy consumed;
-      t.resumed <- Some { w with cost = Stime.sub w.cost consumed };
-      t.current <- None;
-      service t
-  | _ -> ()
+  if t.serving && t.cur_prio = Thread then begin
+    Engine.cancel t.cur_done;
+    let consumed = Stime.sub (Engine.now t.engine) t.cur_started in
+    t.busy_ns <- Stime.add t.busy_ns consumed;
+    t.window_busy <- Stime.add t.window_busy consumed;
+    push_front t.thread_q (Stime.sub t.cur_cost consumed) t.cur_k;
+    t.serving <- false;
+    t.cur_k <- noop;
+    service t
+  end
 
 (* Account CPU work performed inline by the caller, with no work item and
    no engine event: the CPU is reserved until now + cost, so pending and
@@ -128,10 +180,9 @@ let run t ?(prio = Thread) ~cost k =
   if not t.busy then
     (* idle CPU: the queues are empty (service drains them before
        clearing [busy]), so skip the queue round-trip entirely *)
-    serve t { cost; k } prio
+    serve t ~cost k prio
   else begin
-    let q = match prio with Interrupt -> t.intr_q | Thread -> t.thread_q in
-    Queue.push { cost; k } q;
+    push (match prio with Interrupt -> t.intr_q | Thread -> t.thread_q) cost k;
     if t.preemptive && prio = Interrupt then preempt t
   end
 
@@ -147,6 +198,4 @@ let utilization t =
     let u = Stime.to_ns t.window_busy in
     float_of_int u /. float_of_int e
 
-let queue_depth t =
-  Queue.length t.intr_q + Queue.length t.thread_q
-  + match t.resumed with Some _ -> 1 | None -> 0
+let queue_depth t = t.intr_q.len + t.thread_q.len

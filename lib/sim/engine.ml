@@ -2,126 +2,292 @@
    the loop repeatedly pops the earliest event, advances the clock to it and
    runs it.
 
-   Events live in a hierarchical timer wheel (O(1) schedule, O(1) true
-   cancel that drops the thunk eagerly).  The wheel's horizon advances to
-   the earliest pending deadline whenever we peek ahead — e.g. when
-   [run ~until] looks past the horizon and stops — so an event scheduled
-   after such a run can land *behind* the wheel.  Those rare stragglers go
-   to a small binary-heap side queue; pops merge the two by (key, seq) so
-   global firing order is identical to a single stable heap. *)
+   Each scheduled event is one mutable [node], which is also its
+   cancellation handle, so scheduling allocates the node and nothing
+   else.  Firing or cancelling a node swaps its thunk for a static no-op:
+   the caller's closure is dropped at once, not at the deadline.
 
-type event = { seq : int; mutable thunk : (unit -> unit) option }
+   Nodes live in a hierarchical timer wheel (O(1) schedule, O(1) true
+   cancel, amortised O(1) pop): [levels] levels of [slots] = 2^[slot_bits]
+   buckets.  Level l covers a window of 2^(slot_bits*(l+1)) ns split into
+   buckets of 2^(slot_bits*l) ns.  A node with deadline [key] lives at the
+   level given by the highest bit in which [key] differs from the wheel
+   time [cur]; when [cur] advances into a higher-level bucket's window,
+   that bucket is cascaded into lower levels.  Each bucket is a circular
+   doubly-linked list through the nodes themselves, with a sentinel.
 
-type handle =
-  | Wheel of event Timer_wheel.node
-  | Front of t * event
+   Order invariant: every node whose deadline lies within the current
+   level-(l+1) window is stored at level <= l, because a cascade pulls a
+   window's nodes down exactly when [cur] enters it and [cur] only moves
+   forward.  Hence a direct add into a bucket always carries a larger seq
+   than anything cascaded there earlier, cascading preserves list order,
+   and bucket lists stay seq-sorted: the head of the lowest occupied slot
+   is the (key, seq) minimum.
+
+   The wheel's time advances to the earliest deadline whenever we look
+   ahead, e.g. when [run ~until] peeks past its limit and stops, so an
+   event scheduled after such a run can fall *behind* the wheel.  Those
+   rare stragglers go to a binary-heap side queue; firing merges the two
+   by (key, seq), so the global order is that of one stable heap. *)
+
+let slot_bits = 5
+let slots = 1 lsl slot_bits (* 32 *)
+let slot_mask = slots - 1
+let levels = 13 (* 13 * 5 = 65 bits: covers any non-negative OCaml int key *)
+
+type state = Wheel | Front | Dead
+
+type node = {
+  key : int; (* deadline, ns *)
+  seq : int; (* schedule order: ties between equal keys fire in it *)
+  mutable thunk : unit -> unit;
+  mutable prev : node;
+  mutable next : node;
+  mutable bucket : int; (* level * slots + slot, while [state = Wheel] *)
+  mutable state : state; (* in the wheel, in the side queue, or done *)
+  eng : t;
+}
 
 and t = {
   mutable clock : Stime.t;
-  wheel : event Timer_wheel.t;
-  front : event Pheap.t; (* events scheduled behind the wheel horizon *)
+  nil : node; (* "no node": its [next] is itself, like an empty bucket *)
+  mutable buckets : node array array;
+      (* [level].[slot] -> list sentinel; set by [create] *)
+  occupancy : int array; (* per-level bitmap of non-empty slots *)
+  mutable level_occ : int; (* bitmap of levels with any non-empty slot *)
+  mutable cur : int; (* wheel time: every key in the wheel is >= cur *)
+  mutable live : int; (* nodes in the wheel *)
+  mutable settled : node;
+      (* the level-0 sentinel [settle_slow] last found holding the
+         minimum.  Only [settle_slow] moves [cur], and it ends by setting
+         this, so while the bucket is non-empty its nodes have key = cur
+         and it still holds the minimum: a later schedule has key >= cur
+         and, at key = cur, lands in this very bucket behind them. *)
+  front : node Pheap.t; (* events scheduled behind the wheel *)
   mutable front_live : int;
   rng : Rng.t;
   mutable events_run : int;
   mutable next_seq : int;
 }
 
+type handle = node
+
+let noop () = ()
+
+let sentinel t =
+  let rec s =
+    { key = 0; seq = -1; thunk = noop; prev = s; next = s; bucket = -1;
+      state = Dead; eng = t }
+  in
+  s
+
 let create ?(seed = 42) () =
-  {
-    clock = Stime.zero;
-    wheel = Timer_wheel.create ();
-    front = Pheap.create ();
-    front_live = 0;
-    rng = Rng.create seed;
-    events_run = 0;
-    next_seq = 0;
-  }
+  let rec t =
+    {
+      clock = Stime.zero;
+      nil;
+      buckets = [||];
+      occupancy = Array.make levels 0;
+      level_occ = 0;
+      cur = 0;
+      live = 0;
+      settled = nil;
+      front = Pheap.create ();
+      front_live = 0;
+      rng = Rng.create seed;
+      events_run = 0;
+      next_seq = 0;
+    }
+  and nil =
+    { key = 0; seq = -1; thunk = noop; prev = nil; next = nil; bucket = -1;
+      state = Dead; eng = t }
+  in
+  t.buckets <- Array.init levels (fun _ -> Array.init slots (fun _ -> sentinel t));
+  t
 
 let now t = t.clock
 let rng t = t.rng
 let events_run t = t.events_run
-let pending t = Timer_wheel.live t.wheel + t.front_live
+let pending t = t.live + t.front_live
+let null_handle t = t.nil
+
+(* ---- wheel ----------------------------------------------------------- *)
+
+let rec highest_bit x acc =
+  if x >= 0x1_0000_0000 then highest_bit (x lsr 32) (acc + 32)
+  else if x >= 0x1_0000 then highest_bit (x lsr 16) (acc + 16)
+  else if x >= 0x100 then highest_bit (x lsr 8) (acc + 8)
+  else if x >= 0x10 then highest_bit (x lsr 4) (acc + 4)
+  else if x >= 0x4 then highest_bit (x lsr 2) (acc + 2)
+  else if x >= 0x2 then acc + 1
+  else acc
+
+(* index of the least-significant set bit; x <> 0 *)
+let rec lowest_set_bit x acc =
+  if x land 1 = 1 then acc else lowest_set_bit (x lsr 1) (acc + 1)
+
+(* Append [n] to the bucket of its level (the 5-bit digit group holding
+   the highest bit in which its key and [cur] differ) and slot. *)
+let place t n =
+  let x = n.key lxor t.cur in
+  let level = if x = 0 then 0 else highest_bit x 0 / slot_bits in
+  let slot = (n.key lsr (slot_bits * level)) land slot_mask in
+  let s = t.buckets.(level).(slot) in
+  n.bucket <- (level lsl slot_bits) lor slot;
+  n.prev <- s.prev;
+  n.next <- s;
+  s.prev.next <- n;
+  s.prev <- n;
+  t.occupancy.(level) <- t.occupancy.(level) lor (1 lsl slot);
+  t.level_occ <- t.level_occ lor (1 lsl level)
+
+let clear_bit t level slot =
+  let occ = t.occupancy.(level) land lnot (1 lsl slot) in
+  t.occupancy.(level) <- occ;
+  if occ = 0 then t.level_occ <- t.level_occ land lnot (1 lsl level)
+
+let unlink t n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev;
+  let level = n.bucket lsr slot_bits and slot = n.bucket land slot_mask in
+  let s = t.buckets.(level).(slot) in
+  if s.next == s then clear_bit t level slot;
+  n.prev <- t.nil;
+  n.next <- t.nil
+
+let rec replace_until t s n =
+  if n != s then begin
+    let next = n.next in
+    place t n;
+    replace_until t s next
+  end
+
+(* Move every node of bucket [level].[slot] down a level or more.  [cur]
+   has just entered the bucket's window, so each node maps strictly lower;
+   traversal keeps list (= seq) order. *)
+let cascade t level slot =
+  let s = t.buckets.(level).(slot) in
+  clear_bit t level slot;
+  let first = s.next in
+  s.next <- s;
+  s.prev <- s;
+  replace_until t s first
+
+(* Advance [cur] to the earliest deadline in the wheel, cascading higher
+   buckets as needed, and return the level-0 sentinel holding it ([nil]
+   when the wheel is empty). *)
+let rec settle_slow t =
+  if t.level_occ = 0 then t.nil
+  else begin
+    let l = lowest_set_bit t.level_occ 0 in
+    let slot = lowest_set_bit t.occupancy.(l) 0 in
+    if l = 0 then begin
+      let s = t.buckets.(0).(slot) in
+      (* every node in a level-0 bucket shares one exact deadline *)
+      t.cur <- s.next.key;
+      t.settled <- s;
+      s
+    end
+    else begin
+      (* jump cur to the start of that bucket's window, then cascade *)
+      let w = slot_bits * (l + 1) in
+      t.cur <- ((t.cur lsr w) lsl w) lor (slot lsl (slot_bits * l));
+      cascade t l slot;
+      settle_slow t
+    end
+  end
+
+let settle t =
+  let s = t.settled in
+  if s.next != s then s else settle_slow t
+
+(* ---- events ---------------------------------------------------------- *)
 
 let schedule t ~at thunk =
-  if Stime.compare at t.clock < 0 then
-    invalid_arg "Engine.schedule: cannot schedule in the past";
   let key = Stime.to_ns at in
+  if key < Stime.to_ns t.clock then
+    invalid_arg "Engine.schedule: cannot schedule in the past";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let ev = { seq; thunk = Some thunk } in
-  if key >= Timer_wheel.horizon t.wheel then Wheel (Timer_wheel.add t.wheel ~key ev)
-  else begin
-    Pheap.add t.front ~key ev;
-    t.front_live <- t.front_live + 1;
-    Front (t, ev)
+  let n =
+    { key; seq; thunk; prev = t.nil; next = t.nil; bucket = -1; state = Wheel;
+      eng = t }
+  in
+  if key >= t.cur then begin
+    place t n;
+    t.live <- t.live + 1
   end
+  else begin
+    n.state <- Front;
+    Pheap.add t.front ~key n;
+    t.front_live <- t.front_live + 1
+  end;
+  n
 
 let schedule_in t ~delay thunk = schedule t ~at:(Stime.add t.clock delay) thunk
 
-let cancel h =
-  match h with
-  | Wheel node -> Timer_wheel.cancel node
-  | Front (t, ev) ->
-      if ev.thunk <> None then begin
-        ev.thunk <- None;
-        t.front_live <- t.front_live - 1
-      end
+(* A cancelled side-queue node stays in the heap, thunk already dropped,
+   until [front_min] meets it. *)
+let cancel n =
+  let t = n.eng in
+  (match n.state with
+  | Dead -> ()
+  | Wheel ->
+      unlink t n;
+      t.live <- t.live - 1
+  | Front -> t.front_live <- t.front_live - 1);
+  n.state <- Dead;
+  n.thunk <- noop
 
-(* Peek the side queue, discarding cancelled entries as we meet them. *)
-let rec front_peek t =
+let rec front_min t =
   match Pheap.peek_min t.front with
-  | None -> None
-  | Some (_, ev) when ev.thunk = None ->
+  | None -> t.nil
+  | Some (_, n) when n.state = Dead ->
       ignore (Pheap.pop_min t.front);
-      front_peek t
-  | Some (key, ev) -> Some (key, ev)
+      front_min t
+  | Some (_, n) -> n
 
-let next_key t =
-  match (front_peek t, Timer_wheel.peek_min t.wheel) with
-  | None, None -> None
-  | Some (k, _), None | None, Some (k, _) -> Some k
-  | Some (fk, _), Some (wk, _) -> Some (min fk wk)
+(* The earliest live event by (key, seq), or [nil]. *)
+let next_event t =
+  let f = front_min t and w = (settle t).next in
+  if f == t.nil then w
+  else if w == t.nil || f.key < w.key || (f.key = w.key && f.seq < w.seq) then f
+  else w
 
-let pop_next t =
-  match (front_peek t, Timer_wheel.peek_min t.wheel) with
-  | None, None -> None
-  | Some _, None ->
-      t.front_live <- t.front_live - 1;
-      Pheap.pop_min t.front
-  | None, Some _ -> Timer_wheel.pop_min t.wheel
-  | Some (fk, fev), Some (wk, wev) ->
-      if fk < wk || (fk = wk && fev.seq < wev.seq) then begin
-        t.front_live <- t.front_live - 1;
-        Pheap.pop_min t.front
-      end
-      else Timer_wheel.pop_min t.wheel
+let fire t n =
+  if n.state = Front then begin
+    ignore (Pheap.pop_min t.front);
+    t.front_live <- t.front_live - 1
+  end
+  else begin
+    unlink t n;
+    t.live <- t.live - 1
+  end;
+  n.state <- Dead;
+  t.clock <- Stime.ns n.key;
+  let k = n.thunk in
+  n.thunk <- noop;
+  t.events_run <- t.events_run + 1;
+  k ()
 
 let step t =
-  match pop_next t with
-  | None -> false
-  | Some (key, ev) ->
-      t.clock <- Stime.ns key;
-      (match ev.thunk with
-      | Some k ->
-          ev.thunk <- None;
-          t.events_run <- t.events_run + 1;
-          k ()
-      | None -> assert false (* live entries always carry a thunk *));
-      true
+  let n = next_event t in
+  n != t.nil && (fire t n; true)
+
+let rec run_from t ~limit ~max_events count =
+  if count < max_events then begin
+    let n = next_event t in
+    if n != t.nil && n.key <= limit then begin
+      fire t n;
+      run_from t ~limit ~max_events (count + 1)
+    end
+  end
 
 let run ?until ?(max_events = max_int) t =
-  let continue () =
-    match until with
-    | None -> true
-    | Some limit -> (
-        match next_key t with
-        | None -> false
-        | Some key -> key <= Stime.to_ns limit)
-  in
-  let rec loop n = if n < max_events && continue () && step t then loop (n + 1) in
-  loop 0;
+  let limit = match until with Some l -> Stime.to_ns l | None -> max_int in
+  run_from t ~limit ~max_events 0;
   (* If we stopped because of the horizon, advance the clock to it so that
      utilization windows are well-defined. *)
   match until with
-  | Some limit when Stime.compare t.clock limit < 0 -> t.clock <- limit
+  | Some l when Stime.compare t.clock l < 0 -> t.clock <- l
   | _ -> ()

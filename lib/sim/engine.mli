@@ -9,6 +9,10 @@ type t
 type handle
 (** A scheduled event, usable for cancellation. *)
 
+val null_handle : t -> handle
+(** A handle of no event: cancelling it does nothing.  Initialises a
+    mutable handle slot without an option. *)
+
 val create : ?seed:int -> unit -> t
 (** Fresh engine with clock at zero.  [seed] initialises {!rng}. *)
 
@@ -33,9 +37,10 @@ val schedule_in : t -> delay:Stime.t -> (unit -> unit) -> handle
 (** [schedule_in t ~delay k] runs [k] after [delay] of virtual time. *)
 
 val cancel : handle -> unit
-(** Prevent a scheduled event from running.  The event is removed from the
-    queue immediately and its thunk dropped, so cancellation retains no
-    memory until the original deadline.  Idempotent. *)
+(** Prevent a scheduled event from running.  Its thunk is dropped at
+    once, so cancellation retains no closure until the original
+    deadline, and {!pending} stops counting it.  Idempotent; cancelling
+    an event that already fired does nothing. *)
 
 val step : t -> bool
 (** Run the single earliest event.  [false] when the queue is empty. *)

@@ -1193,6 +1193,19 @@ let prio_of ev over =
       | Interrupt -> Sim.Cpu.Interrupt
       | Thread -> Sim.Cpu.Thread)
 
+(* Drain bookkeeping shared by both handler kinds: every queued
+   invocation holds a [pending] reference; the last one out of a
+   [Retired] handler finalizes it (live <- false), which is the swap
+   protocol's "old generation fully drained" edge. *)
+let handler_enter h = h.pending <- h.pending + 1
+
+let handler_leave d h =
+  h.pending <- h.pending - 1;
+  if h.state = Retired then begin
+    d.swap_pending <- d.swap_pending - 1;
+    if h.pending = 0 then h.live <- false
+  end
+
 let deliver ev v h flow over =
   let d = ev.disp in
   Sim.Stats.Counter.incr d.invocations;
@@ -1201,18 +1214,6 @@ let deliver ev v h flow over =
     match ev.mode with
     | Interrupt -> Sim.Stime.zero
     | Thread -> d.costs.thread_spawn
-  in
-  (* Drain bookkeeping shared by both kinds: every queued invocation
-     holds a [pending] reference; the last one out of a [Retired]
-     handler finalizes it (live <- false), which is the swap protocol's
-     "old generation fully drained" edge. *)
-  let enter () = h.pending <- h.pending + 1 in
-  let leave () =
-    h.pending <- h.pending - 1;
-    if h.state = Retired then begin
-      d.swap_pending <- d.swap_pending - 1;
-      if h.pending = 0 then h.live <- false
-    end
   in
   match h.kind with
   | Plain { cost; dyncost; fn } ->
@@ -1223,7 +1224,7 @@ let deliver ev v h flow over =
       in
       let total = Sim.Stime.add spawn cost in
       flow_enter flow;
-      enter ();
+      handler_enter h;
       Sim.Cpu.run d.cpu ~prio ~cost:total (fun () ->
           (* skip if uninstalled while this invocation was queued *)
           (if h.live then begin
@@ -1246,7 +1247,7 @@ let deliver ev v h flow over =
                     });
              quarantine_check ev h
            end);
-          leave ();
+          handler_leave d h;
           flow_leave d flow)
   | Eph { budget; fn } -> (
       (* The handler body runs at plan time.  Only its own crashes are
@@ -1265,7 +1266,7 @@ let deliver ev v h flow over =
       | Ok plan ->
           let r = Ephemeral.planned plan in
           flow_enter flow;
-          enter ();
+          handler_enter h;
           Sim.Cpu.run d.cpu ~prio
             ~cost:(Sim.Stime.add spawn r.Ephemeral.consumed)
             (fun () ->
@@ -1310,7 +1311,7 @@ let deliver ev v h flow over =
                  d.prio_override <- None;
                  quarantine_check ev h
                end);
-              leave ();
+              handler_leave d h;
               flow_leave d flow))
 
 (* The leaf a raise on [plan] reaches: a bare leaf directly, a switch
@@ -1423,7 +1424,9 @@ let raise_tree ?over ev v flow =
             (Observe.Trace.Guard_eval
                { event = ev.ename; hid = h.hid; label = h.label; hit = accepted });
         if accepted then begin
-          accepted_rev := h.hid :: !accepted_rev;
+          (match flow with
+          | Recording _ -> accepted_rev := h.hid :: !accepted_rev
+          | No_flow | Replaying _ -> ());
           deliver ev v h flow over
         end
       done;

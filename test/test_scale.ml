@@ -1,107 +1,182 @@
-(* Million-flow steady-state structures: the hierarchical timer wheel
-   (equivalence with the Pheap oracle, true cancellation), the sharded
+(* Million-flow steady-state structures: the engine's timer wheel
+   (equivalence with a Pheap oracle, true cancellation), the sharded
    flow tables and CLOCK cache, and ephemeral port allocation. *)
 
 let us = Sim.Stime.us
 
 (* ---- timer wheel ----------------------------------------------------- *)
 
-(* Oracle equivalence: the wheel must fire in exactly the (key, seq)
-   order of the stable binary heap, under arbitrary interleavings of
-   schedule, cancel and pop (a reschedule is a cancel + schedule). *)
-type op = Add of int | Cancel of int | Pop
+(* Oracle equivalence: the engine must fire in exactly the (key, seq)
+   order of a stable binary heap, under arbitrary interleavings of
+   schedule, cancel, step and [run ~until].  [run ~until] advances the
+   wheel's time to the next deadline and stops short of it, so later
+   schedules land behind the wheel, in the side queue; the merge of the
+   two must still be the heap's order.  Some events schedule a child when
+   they fire, as protocol timers do. *)
+type op =
+  | Add of int * int option (* delay, child delay scheduled on firing *)
+  | Past (* schedule before now: must raise and change nothing *)
+  | Cancel of int (* the i-th most recent live event *)
+  | Cancel_dead (* a fired or cancelled handle: no-op *)
+  | Step
+  | Until of int
+
+let delay_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_bound 64); (4, int_bound 5000); (1, int_bound 10_000_000) ])
 
 let op_gen =
   QCheck.Gen.(
     frequency
       [
-        (6, map (fun d -> Add d) (int_bound 5000));
-        (2, map (fun i -> Cancel i) (int_bound 500));
-        (3, return Pop);
+        (6, map2 (fun d c -> Add (d, c)) delay_gen (opt ~ratio:0.2 delay_gen));
+        (1, return Past);
+        (2, map (fun i -> Cancel i) (int_bound 50));
+        (1, return Cancel_dead);
+        (3, return Step);
+        (2, map (fun d -> Until d) delay_gen);
       ])
 
 let op_print = function
-  | Add d -> Printf.sprintf "Add %d" d
+  | Add (d, None) -> Printf.sprintf "Add %d" d
+  | Add (d, Some c) -> Printf.sprintf "Add %d then %d" d c
+  | Past -> "Past"
   | Cancel i -> Printf.sprintf "Cancel %d" i
-  | Pop -> "Pop"
+  | Cancel_dead -> "Cancel_dead"
+  | Step -> "Step"
+  | Until d -> Printf.sprintf "Until +%d" d
 
-let wheel_matches_pheap ops =
-  let wheel = Sim.Timer_wheel.create () in
-  let heap = Sim.Pheap.create () in
-  (* mirror entries: wheel node + a cancelled flag read at heap pop *)
-  let nodes = ref [] (* (id, node) newest first *) in
-  let cancelled = Hashtbl.create 16 in
+let engine_matches_pheap ops =
+  let e = Sim.Engine.create () in
+  let handles = Hashtbl.create 16 (* id -> engine handle *) in
+  let child = Hashtbl.create 16 (* id -> child delay *) in
+  let fired = ref [] (* ids in engine firing order, newest first *) in
+  let child_id id = -id - 1 in
+  let rec engine_add ~at id =
+    let h =
+      Sim.Engine.schedule e ~at:(Sim.Stime.ns at) (fun () ->
+          fired := id :: !fired;
+          match Hashtbl.find_opt child id with
+          | Some c ->
+              engine_add ~at:(Sim.Stime.to_ns (Sim.Engine.now e) + c) (child_id id)
+          | None -> ())
+    in
+    Hashtbl.replace handles id h
+  in
+  (* the model: a stable heap of ids by deadline, plus the live set *)
+  let model = Sim.Pheap.create () and live = Hashtbl.create 16 in
+  let model_add ~at id =
+    Sim.Pheap.add model ~key:at id;
+    Hashtbl.replace live id ()
+  in
+  let rec model_min () =
+    match Sim.Pheap.peek_min model with
+    | Some (_, id) when not (Hashtbl.mem live id) ->
+        ignore (Sim.Pheap.pop_min model);
+        model_min ()
+    | m -> m
+  in
+  (* fire the model's events up to [limit] (at most [n] of them) *)
+  let model_run ~limit n =
+    let rec go n acc =
+      match model_min () with
+      | Some (at, id) when n > 0 && at <= limit ->
+          ignore (Sim.Pheap.pop_min model);
+          Hashtbl.remove live id;
+          Option.iter (fun c -> model_add ~at:(at + c) (child_id id))
+            (Hashtbl.find_opt child id);
+          go (n - 1) ((at, id) :: acc)
+      | _ -> acc
+    in
+    go n []
+  in
+  let dead = ref [] (* handles of fired or cancelled events *) in
   let next_id = ref 0 in
   let ok = ref true in
-  let rec heap_pop () =
-    match Sim.Pheap.pop_min heap with
-    | None -> None
-    | Some (k, id) ->
-        if Hashtbl.mem cancelled id then heap_pop () else Some (k, id)
+  let check b = if not b then ok := false in
+  let now () = Sim.Stime.to_ns (Sim.Engine.now e) in
+  (* run one side, then the other, and compare what fired *)
+  let both engine_side ~limit n =
+    fired := [];
+    let expect = model_run ~limit n in
+    engine_side ();
+    check (!fired = List.map snd expect);
+    List.iter (fun id -> dead := Hashtbl.find handles id :: !dead) !fired;
+    expect
   in
   List.iter
     (fun op ->
-      match op with
-      | Add d ->
-          let key = Sim.Timer_wheel.horizon wheel + d in
+      (match op with
+      | Add (d, cd) ->
           let id = !next_id in
           incr next_id;
-          let n = Sim.Timer_wheel.add wheel ~key id in
-          nodes := (id, n) :: !nodes;
-          Sim.Pheap.add heap ~key id
+          Option.iter (Hashtbl.replace child id) cd;
+          engine_add ~at:(now () + d) id;
+          model_add ~at:(now () + d) id
+      | Past ->
+          if now () > 0 then
+            check
+              (match
+                 Sim.Engine.schedule e ~at:(Sim.Stime.ns (now () - 1)) ignore
+               with
+              | _ -> false
+              | exception Invalid_argument _ -> true)
       | Cancel i -> (
-          (* cancel the i-th most recent still-live entry, if any *)
-          match
-            List.filteri (fun j _ -> j = i)
-              (List.filter (fun (_, n) -> Sim.Timer_wheel.is_live n) !nodes)
-          with
-          | [ (id, n) ] ->
-              Sim.Timer_wheel.cancel n;
-              Sim.Timer_wheel.cancel n (* idempotent *)
-              ;
-              Hashtbl.replace cancelled id ()
-          | _ -> ())
-      | Pop ->
-          let w = Sim.Timer_wheel.pop_min wheel in
-          let h = heap_pop () in
-          if w <> h then ok := false)
+          let ids =
+            List.sort (fun a b -> compare b a)
+              (Hashtbl.fold (fun id () acc -> id :: acc) live [])
+          in
+          match List.nth_opt ids i with
+          | Some id ->
+              let h = Hashtbl.find handles id in
+              Sim.Engine.cancel h;
+              Sim.Engine.cancel h (* idempotent *);
+              Hashtbl.remove live id;
+              dead := h :: !dead
+          | None -> ())
+      | Cancel_dead -> (
+          match !dead with h :: _ -> Sim.Engine.cancel h | [] -> ())
+      | Step -> (
+          let stepped = ref false in
+          match both (fun () -> stepped := Sim.Engine.step e) ~limit:max_int 1 with
+          | [ (at, _) ] -> check (!stepped && now () = at)
+          | _ -> check (not !stepped))
+      | Until d ->
+          let limit = now () + d in
+          ignore
+            (both (fun () -> Sim.Engine.run e ~until:(Sim.Stime.ns limit)) ~limit
+               max_int);
+          check (now () = limit));
+      check (Sim.Engine.pending e = Hashtbl.length live))
     ops;
   (* drain both: remainders must agree too *)
-  let rec drain () =
-    match (Sim.Timer_wheel.pop_min wheel, heap_pop ()) with
-    | None, None -> ()
-    | w, h ->
-        if w <> h then ok := false
-        else drain ()
-  in
-  drain ();
-  !ok && Sim.Timer_wheel.is_empty wheel
+  ignore (both (fun () -> Sim.Engine.run e) ~limit:max_int max_int);
+  !ok && Sim.Engine.pending e = 0
 
 let wheel_oracle_qcheck =
   QCheck.Test.make ~count:300 ~name:"timer wheel fires in pheap order"
     QCheck.(make ~print:(fun l -> String.concat "; " (List.map op_print l))
               Gen.(list_size (0 -- 200) op_gen))
-    wheel_matches_pheap
+    engine_matches_pheap
 
 let wheel_long_range () =
-  (* deadlines spread over many wheel levels, popped in order *)
-  let w = Sim.Timer_wheel.create () in
+  (* deadlines spread over many wheel levels fire in order *)
+  let e = Sim.Engine.create () in
   let keys =
-    [ 1; 31; 32; 33; 1_000; 32_768; 1_000_000; 123_456_789;
-      1_000_000_000_000; 4611686018427387903 (* max_int/2: level 12 *) ]
+    [ 1_000_000; 1; 32_768; 31; 32; 4611686018427387903 (* max_int/2: level 12 *);
+      33; 1_000; 123_456_789; 1_000_000_000_000 ]
   in
-  List.iter (fun k -> ignore (Sim.Timer_wheel.add w ~key:k k)) keys;
-  let popped = ref [] in
-  let rec go () =
-    match Sim.Timer_wheel.pop_min w with
-    | None -> ()
-    | Some (k, _) ->
-        popped := k :: !popped;
-        go ()
-  in
-  go ();
+  let fired = ref [] in
+  List.iter
+    (fun k ->
+      ignore
+        (Sim.Engine.schedule e ~at:(Sim.Stime.ns k) (fun () ->
+             fired := Sim.Stime.to_ns (Sim.Engine.now e) :: !fired)))
+    keys;
+  Sim.Engine.run e;
   Alcotest.(check (list int)) "sorted across levels" (List.sort compare keys)
-    (List.rev !popped)
+    (List.rev !fired)
 
 let wheel_mass_cancel () =
   (* 100k pending, mass-cancel, wheel must be observably empty *)

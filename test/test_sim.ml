@@ -239,6 +239,88 @@ let cpu_queue_depth () =
   Sim.Engine.run e;
   Alcotest.(check int) "drained" 0 (Sim.Cpu.queue_depth cpu)
 
+let cpu_fifo_across_growth () =
+  (* more items than the initial queue capacity, with a preemption that
+     puts the interrupted item back at the head of the thread queue *)
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"c" in
+  Sim.Cpu.set_preemptive cpu true;
+  let order = ref [] in
+  for i = 1 to 20 do
+    Sim.Cpu.run cpu ~cost:(us 10) (fun () -> order := i :: !order)
+  done;
+  ignore
+    (Sim.Engine.schedule e ~at:(us 5) (fun () ->
+         Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 1) (fun () ->
+             order := 0 :: !order)));
+  Alcotest.(check int) "19 queued" 19 (Sim.Cpu.queue_depth cpu);
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "interrupt first, then FIFO"
+    (0 :: List.init 20 (fun i -> i + 1))
+    (List.rev !order);
+  check_time "all work done" 201_000 (Sim.Stime.to_ns (Sim.Engine.now e))
+
+(* ---- allocation budgets ---------------------------------------------- *)
+
+(* Minor-heap words per call of [f], after one warm-up call. *)
+let words_per ~n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let static_thunk () = ()
+
+let check_budget what ~bound words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words <= %d" what words bound)
+    true
+    (words <= float_of_int bound)
+
+let alloc_engine_event () =
+  (* one node; the thunk is the caller's and static here *)
+  let e = Sim.Engine.create () in
+  check_budget "schedule + step" ~bound:12
+    (words_per ~n:10_000 (fun () ->
+         ignore (Sim.Engine.schedule_in e ~delay:(us 1) static_thunk);
+         ignore (Sim.Engine.step e)))
+
+let alloc_idle_cpu_run () =
+  (* the in-service item lives in the CPU's fields and its completion
+     thunk is shared: only the engine node is allocated *)
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"c" in
+  check_budget "idle Cpu.run + Engine.run" ~bound:14
+    (words_per ~n:10_000 (fun () ->
+         Sim.Cpu.run cpu ~cost:(us 1) static_thunk;
+         Sim.Engine.run e))
+
+let alloc_jitter_untraced () =
+  (* a jittered frame costs two more RNG draws (22 words) than a plain
+     one, not the formatting of a trace detail nobody reads (~300) *)
+  let frame_words jitter =
+    let engine = Sim.Engine.create () in
+    let a, b =
+      Netsim.Network.pair engine (Netsim.Costs.loopback ())
+        ~a:("a", Proto.Ipaddr.v 10 0 0 1)
+        ~b:("b", Proto.Ipaddr.v 10 0 0 2)
+    in
+    let plan = Netsim.Network.install_faults ~seed:1 a in
+    Netsim.Faults.set_jitter plan jitter;
+    Netsim.Dev.set_rx b.Netsim.Network.dev Mbuf.free;
+    let w =
+      words_per ~n:2_000 (fun () ->
+          Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 64);
+          Sim.Engine.run engine)
+    in
+    (w, Netsim.Faults.delays plan)
+  in
+  let plain, _ = frame_words 0. and jittered, delays = frame_words 1. in
+  Alcotest.(check bool) "every frame delayed" true (delays > 2_000);
+  check_budget "jitter over a plain frame" ~bound:64 (jittered -. plain)
+
 (* ---- Stats ---------------------------------------------------------- *)
 
 let stats_counter () =
@@ -319,6 +401,13 @@ let suite =
         tc "interrupt priority" cpu_priority;
         tc "utilization accounting" cpu_utilization;
         tc "queue depth" cpu_queue_depth;
+        tc "fifo order across queue growth" cpu_fifo_across_growth;
+      ] );
+    ( "sim.alloc_budget",
+      [
+        tc "engine event: schedule + step" alloc_engine_event;
+        tc "idle cpu run" alloc_idle_cpu_run;
+        tc "untraced jitter builds no detail" alloc_jitter_untraced;
       ] );
     ( "sim.stats",
       [
