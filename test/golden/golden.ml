@@ -1,7 +1,9 @@
 (* Golden snapshot of the simulated evaluation: Figure 5, the section 4.2
    throughput table, Figure 7, the section 3.3 microbenchmarks, the
-   ablations, the motivation experiments and the size sweep, unrounded,
-   then per-event dispatcher counters from two fixed Figure-5 echo runs.
+   ablations, the motivation experiments, the size sweep, HTTP GET
+   latency, the server farm and its scale probe, unrounded, one seed of
+   each chaos scenario, then per-event dispatcher counters from two
+   fixed Figure-5 echo runs.
    The simulator is deterministic, so [dune runtest] can diff this
    against [golden.expected]; even a 1 ns change to one [Netsim.Costs]
    constant shows.  Figure 6 is left out: it alone takes seconds.
@@ -130,6 +132,44 @@ let sweep () =
         r.points)
     (Experiments.Sweep.run ~iters:20 ())
 
+let http () =
+  let r = Experiments.Http_bench.run ~warmup:2 ~iters:5 () in
+  row "http"
+    [
+      ("plexus_us", fl r.plexus_us);
+      ("du_us", fl r.du_us);
+      ("body_len", int r.body_len);
+    ]
+
+let farm () =
+  let r = Experiments.Farm.run ~clients:2 ~warmup:5 ~requests:40 () in
+  row "farm run"
+    [
+      ("completed", int r.completed);
+      ("mean_us", fl r.mean_us);
+      ("p50_us", fl r.p50_us);
+      ("p99_us", fl r.p99_us);
+    ];
+  let probe =
+    Experiments.Farm.scale_setup ~clients:2 ~seed:1 ~live_flows:200 ~probes:32
+      ()
+  in
+  for round = 1 to 2 do
+    let p = probe () in
+    row
+      ("farm probe " ^ int round)
+      [ ("p50_us", fl p.probe_p50_us); ("p99_us", fl p.probe_p99_us) ]
+  done
+
+let chaos () =
+  let seed = 1 in
+  Format.printf "chaos %a@." Experiments.Chaos.pp_udp_outcome
+    (Experiments.Chaos.udp_blast ~seed ());
+  Format.printf "chaos %a@." Experiments.Chaos.pp_frag_outcome
+    (Experiments.Chaos.udp_frag ~seed ());
+  Format.printf "chaos %a@." Experiments.Chaos.pp_tcp_outcome
+    (Experiments.Chaos.tcp_transfer ~seed ())
+
 (* A Figure-5 echo (Ethernet, interrupt delivery), then every dispatcher
    counter per host and the nonzero raise counters of each event.  The
    plain run is Figure 5's own configuration; the mixed run adds an
@@ -217,5 +257,8 @@ let () =
   ablate ();
   motivate ();
   sweep ();
+  http ();
+  farm ();
+  chaos ();
   dispatch_counters ~tag:"fig5" ~mixed:false;
   dispatch_counters ~tag:"mixed" ~mixed:true
