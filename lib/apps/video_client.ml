@@ -10,7 +10,7 @@ type t = {
   costs : Netsim.Costs.t;
   deadline : Sim.Stime.t option; (* inter-frame bound (1.5x the period) *)
   mutable last_frame_at : Sim.Stime.t option;
-  jitter : Sim.Stats.Series.t;   (* inter-arrival times, us *)
+  jitter : Observe.Histogram.t;  (* inter-arrival times, ns *)
   mutable deadline_misses : int;
   mutable frames_received : int;
   mutable bytes_received : int;
@@ -28,7 +28,7 @@ let make ?fps host =
       | Some fps -> Some (Sim.Stime.of_s_f (1.5 /. float_of_int fps))
       | None -> None);
     last_frame_at = None;
-    jitter = Sim.Stats.Series.create ();
+    jitter = Observe.Histogram.create ();
     deadline_misses = 0;
     frames_received = 0;
     bytes_received = 0;
@@ -44,7 +44,7 @@ let handle_frame t len =
   (match t.last_frame_at with
   | Some prev ->
       let gap = Sim.Stime.sub now prev in
-      Sim.Stats.Series.add_time t.jitter gap;
+      Observe.Histogram.record t.jitter (Sim.Stime.to_ns gap);
       (match t.deadline with
       | Some d when Sim.Stime.compare gap d > 0 ->
           t.deadline_misses <- t.deadline_misses + 1

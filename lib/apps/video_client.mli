@@ -11,8 +11,8 @@ val on_du : ?fps:int -> Osmodel.Du_stack.t -> port:int -> t
 (** Run as a DIGITAL UNIX user process on a UDP socket. *)
 
 val deadline_misses : t -> int
-val jitter : t -> Sim.Stats.Series.t
-(** Inter-frame arrival times in µs. *)
+val jitter : t -> Observe.Histogram.t
+(** Inter-frame arrival times in ns. *)
 
 val frames_received : t -> int
 val frames_displayed : t -> int

@@ -18,63 +18,29 @@
    never calls their guards. *)
 type guard_point = { extra_endpoints : int; rtt_us : float; indexed_rtt_us : float }
 
+(* The ablations' echo request. *)
+let ping udp client =
+  Plexus.Udp_mgr.send udp client ~dst:(Common.ip_b, 7) "ping-pkt"
+
 let guard_scaling ?(counts = [ 0; 8; 32; 128 ]) ?(iters = 100) () =
   let run ~indexed extra =
-      let p = Common.plexus_pair (Netsim.Costs.ethernet ()) in
-      let udp_b = Plexus.Stack.udp p.Common.b in
-      (* Install [extra] unrelated endpoints whose guards will be
-         evaluated (and rejected) for every incoming datagram — unless
-         the dispatch index skips them. *)
-      for i = 1 to extra do
-        match Plexus.Udp_mgr.bind udp_b ~owner:"bystander" ~port:(20000 + i) with
-        | Ok ep ->
-            let install =
-              if indexed then Plexus.Udp_mgr.install_recv
-              else Plexus.Udp_mgr.install_recv_linear
-            in
-            let (_ : unit -> unit) = install udp_b ep (fun _ -> ()) in
-            ()
-        | Error _ -> assert false
-      done;
-      (* Echo server + pinger, as in Figure 5. *)
-      let server =
-        match Plexus.Udp_mgr.bind udp_b ~owner:"echo" ~port:7 with
-        | Ok ep -> ep
-        | Error _ -> assert false
+    let p = Common.plexus_pair (Netsim.Costs.ethernet ()) in
+    let udp_b = Plexus.Stack.udp p.b in
+    (* Install [extra] unrelated endpoints whose guards will be
+       evaluated (and rejected) for every incoming datagram — unless
+       the dispatch index skips them. *)
+    for i = 1 to extra do
+      let ep = Common.bind_exn udp_b ~owner:"bystander" ~port:(20000 + i) in
+      let install =
+        if indexed then Plexus.Udp_mgr.install_recv
+        else Plexus.Udp_mgr.install_recv_linear
       in
-      let (_ : unit -> unit) =
-        Plexus.Udp_mgr.install_recv udp_b server (fun ctx ->
-            let data = View.to_string (Plexus.Pctx.view ctx) in
-            let src = (Plexus.Pctx.ip_exn ctx).Proto.Ipv4.src in
-            Plexus.Udp_mgr.send udp_b server
-              ~dst:(src, ctx.Plexus.Pctx.src_port)
-              data)
-      in
-      let udp_a = Plexus.Stack.udp p.Common.a in
-      let client =
-        match Plexus.Udp_mgr.bind udp_a ~owner:"ping" ~port:5001 with
-        | Ok ep -> ep
-        | Error _ -> assert false
-      in
-      let series = Sim.Stats.Series.create () in
-      let remaining = ref (10 + iters) in
-      let sent_at = ref Sim.Stime.zero in
-      let send_next () =
-        if !remaining > 0 then begin
-          decr remaining;
-          sent_at := Sim.Engine.now p.Common.engine;
-          Plexus.Udp_mgr.send udp_a client ~dst:(Common.ip_b, 7) "ping-pkt"
-        end
-      in
-      let (_ : unit -> unit) =
-        Plexus.Udp_mgr.install_recv udp_a client (fun _ ->
-            let rtt = Sim.Stime.sub (Sim.Engine.now p.Common.engine) !sent_at in
-            if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-            send_next ())
-      in
-      send_next ();
-      Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-      Sim.Stats.Series.mean series
+      let (_ : unit -> unit) = install udp_b ep (fun _ -> ()) in
+      ()
+    done;
+    (* Echo server + pinger, as in Figure 5. *)
+    Common.udp_echo_server udp_b;
+    Common.ping_rtt p ~warmup:10 ~iters ping
   in
   List.map
     (fun extra ->
@@ -96,64 +62,33 @@ type spoof_result = {
 let spoof_policy ?(iters = 100) () =
   let run policy =
     let p = Common.plexus_pair (Netsim.Costs.ethernet ()) in
-    let udp_a = Plexus.Stack.udp p.Common.a in
-    let udp_b = Plexus.Stack.udp p.Common.b in
+    let udp_a = Plexus.Stack.udp p.a in
     Plexus.Udp_mgr.set_spoof_policy udp_a policy;
-    let server =
-      match Plexus.Udp_mgr.bind udp_b ~owner:"echo" ~port:7 with
-      | Ok ep -> ep
-      | Error _ -> assert false
+    Common.udp_echo_server (Plexus.Stack.udp p.b);
+    let client = Common.bind_exn udp_a ~owner:"ping" ~port:5001 in
+    let send ~claimed_src_port data =
+      match
+        Plexus.Udp_mgr.send_claiming udp_a client ~claimed_src_port
+          ~dst:(Common.ip_b, 7) data
+      with
+      | Ok () -> ()
+      | Error `Spoof_rejected -> ()
     in
-    let (_ : unit -> unit) =
-      Plexus.Udp_mgr.install_recv udp_b server (fun ctx ->
-          let data = View.to_string (Plexus.Pctx.view ctx) in
-          let src = (Plexus.Pctx.ip_exn ctx).Proto.Ipv4.src in
-          Plexus.Udp_mgr.send udp_b server ~dst:(src, ctx.Plexus.Pctx.src_port)
-            data)
+    (* an honest claim, so Verify re-checks and passes *)
+    let rtt =
+      Common.mean_rtt ~engine:p.engine ~warmup:10 ~iters
+        ~send:(fun () -> send ~claimed_src_port:5001 "ping-pkt")
+        (fun reply ->
+          let (_ : unit -> unit) =
+            Plexus.Udp_mgr.install_recv udp_a client (fun _ -> reply ())
+          in
+          ())
     in
-    let client =
-      match Plexus.Udp_mgr.bind udp_a ~owner:"ping" ~port:5001 with
-      | Ok ep -> ep
-      | Error _ -> assert false
-    in
-    let series = Sim.Stats.Series.create () in
-    let remaining = ref (10 + iters) in
-    let sent_at = ref Sim.Stime.zero in
-    let in_flight = ref false in
-    let send_next () =
-      if !remaining > 0 then begin
-        decr remaining;
-        sent_at := Sim.Engine.now p.Common.engine;
-        in_flight := true;
-        (* an honest claim, so Verify re-checks and passes *)
-        match
-          Plexus.Udp_mgr.send_claiming udp_a client ~claimed_src_port:5001
-            ~dst:(Common.ip_b, 7) "ping-pkt"
-        with
-        | Ok () -> ()
-        | Error `Spoof_rejected -> ()
-      end
-    in
-    let (_ : unit -> unit) =
-      Plexus.Udp_mgr.install_recv udp_a client (fun _ ->
-          if !in_flight then begin
-            in_flight := false;
-            let rtt = Sim.Stime.sub (Sim.Engine.now p.Common.engine) !sent_at in
-            if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-            send_next ()
-          end)
-    in
-    send_next ();
-    Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-    (* also demonstrate rejection of a dishonest claim *)
-    (match
-       Plexus.Udp_mgr.send_claiming udp_a client ~claimed_src_port:9999
-         ~dst:(Common.ip_b, 7) "forged"
-     with
-    | Ok () -> ()
-    | Error `Spoof_rejected -> ());
-    Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-    (Sim.Stats.Series.mean series, (Plexus.Udp_mgr.counters udp_a).spoof_rejected)
+    (* also demonstrate rejection of a dishonest claim; under Overwrite
+       its echo arrives with no request outstanding and is ignored *)
+    send ~claimed_src_port:9999 "forged";
+    Sim.Engine.run p.engine ~max_events:10_000_000;
+    (rtt, (Plexus.Udp_mgr.counters udp_a).spoof_rejected)
   in
   let overwrite_rtt, _ = run Plexus.Udp_mgr.Overwrite in
   let verify_rtt, rejected = run Plexus.Udp_mgr.Verify in
@@ -166,13 +101,8 @@ type cksum_result = { with_cksum : float; without_cksum : float }
 let cksum_variant ?(payload_len = 1400) ?(iters = 100) () =
   let run checksum =
     let p = Common.plexus_pair (Netsim.Costs.t3 ()) in
-    let udp_b = Plexus.Stack.udp p.Common.b in
-    let udp_a = Plexus.Stack.udp p.Common.a in
-    let server =
-      match Plexus.Udp_mgr.bind udp_b ~owner:"echo" ~port:7 with
-      | Ok ep -> ep
-      | Error _ -> assert false
-    in
+    let udp_b = Plexus.Stack.udp p.b in
+    let server = Common.bind_exn udp_b ~owner:"echo" ~port:7 in
     let (_ : unit -> unit) =
       Plexus.Udp_mgr.install_recv udp_b server (fun ctx ->
           let data = View.to_string (Plexus.Pctx.view ctx) in
@@ -181,31 +111,9 @@ let cksum_variant ?(payload_len = 1400) ?(iters = 100) () =
             ~dst:(src, ctx.Plexus.Pctx.src_port)
             data)
     in
-    let client =
-      match Plexus.Udp_mgr.bind udp_a ~owner:"ping" ~port:5001 with
-      | Ok ep -> ep
-      | Error _ -> assert false
-    in
-    let series = Sim.Stats.Series.create () in
-    let remaining = ref (10 + iters) in
-    let sent_at = ref Sim.Stime.zero in
     let payload = String.make payload_len 'v' in
-    let send_next () =
-      if !remaining > 0 then begin
-        decr remaining;
-        sent_at := Sim.Engine.now p.Common.engine;
-        Plexus.Udp_mgr.send udp_a client ~checksum ~dst:(Common.ip_b, 7) payload
-      end
-    in
-    let (_ : unit -> unit) =
-      Plexus.Udp_mgr.install_recv udp_a client (fun _ ->
-          let rtt = Sim.Stime.sub (Sim.Engine.now p.Common.engine) !sent_at in
-          if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-          send_next ())
-    in
-    send_next ();
-    Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-    Sim.Stats.Series.mean series
+    Common.ping_rtt p ~warmup:10 ~iters (fun udp client ->
+        Plexus.Udp_mgr.send udp client ~checksum ~dst:(Common.ip_b, 7) payload)
   in
   { with_cksum = run true; without_cksum = run false }
 
@@ -244,9 +152,7 @@ let dispatch_sensitivity ?(factors = [ 1; 10; 100 ]) ?(iters = 50) () =
       in
       {
         factor;
-        rtt_us =
-          Sim.Stats.Series.mean
-            (Common.udp_echo_plexus ~costs ~iters (Netsim.Costs.ethernet ()));
+        rtt_us = Common.udp_echo_plexus ~costs ~iters (Netsim.Costs.ethernet ());
       })
     factors
 
@@ -275,43 +181,8 @@ let filter_vs_guard ?(iters = 100) () =
   in
   let run install =
     let p = Common.plexus_pair (Netsim.Costs.ethernet ()) in
-    let udp_a = Plexus.Stack.udp p.Common.a in
-    let udp_b = Plexus.Stack.udp p.Common.b in
-    let server =
-      match Plexus.Udp_mgr.bind udp_b ~owner:"echo" ~port:7 with
-      | Ok ep -> ep
-      | Error _ -> assert false
-    in
-    let echo ctx =
-      let data = View.to_string (Plexus.Pctx.view ctx) in
-      let src = (Plexus.Pctx.ip_exn ctx).Proto.Ipv4.src in
-      Plexus.Udp_mgr.send udp_b server ~dst:(src, ctx.Plexus.Pctx.src_port) data
-    in
-    let (_ : unit -> unit) = install udp_b server echo in
-    let client =
-      match Plexus.Udp_mgr.bind udp_a ~owner:"ping" ~port:5001 with
-      | Ok ep -> ep
-      | Error _ -> assert false
-    in
-    let series = Sim.Stats.Series.create () in
-    let remaining = ref (10 + iters) in
-    let sent_at = ref Sim.Stime.zero in
-    let send_next () =
-      if !remaining > 0 then begin
-        decr remaining;
-        sent_at := Sim.Engine.now p.Common.engine;
-        Plexus.Udp_mgr.send udp_a client ~dst:(Common.ip_b, 7) "ping-pkt"
-      end
-    in
-    let (_ : unit -> unit) =
-      Plexus.Udp_mgr.install_recv udp_a client (fun _ ->
-          let rtt = Sim.Stime.sub (Sim.Engine.now p.Common.engine) !sent_at in
-          if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-          send_next ())
-    in
-    send_next ();
-    Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-    Sim.Stats.Series.mean series
+    Common.udp_echo_server ~install (Plexus.Stack.udp p.b);
+    Common.ping_rtt p ~warmup:10 ~iters ping
   in
   {
     native_rtt = run (fun udp ep fn -> Plexus.Udp_mgr.install_recv udp ep fn);

@@ -161,6 +161,9 @@ let server_cache_evictions f =
 
 (* --- the open heavy-tailed workload ----------------------------------- *)
 
+(* A percentile of the exact samples, 0 when there are none. *)
+let percentile_or_zero xs p = if xs = [] then 0. else Common.percentile xs p
+
 type result = {
   clients : int;
   completed : int;  (* measured request completions (post-warmup) *)
@@ -176,7 +179,7 @@ let run ?params ?flowcache ?(clients = 8) ?(seed = 7) ?(warmup = 50)
     ?(requests = 400) ?(mean_gap_us = 400.) ?(shape = 1.2) ?(scale = 600.) () =
   let f = build ?params ?flowcache ~seed ~clients () in
   let total = warmup + requests in
-  let series = Sim.Stats.Series.create () in
+  let samples = ref [] in
   let issued = ref 0 and completed = ref 0 and errors = ref 0 in
   let measured_bytes = ref 0 in
   let mark = ref Sim.Stime.zero and finish = ref Sim.Stime.zero in
@@ -200,7 +203,8 @@ let run ?params ?flowcache ?(clients = 8) ?(seed = 7) ?(warmup = 50)
                 (match res with
                 | Some r when r.Apps.Http_client.status = 200 ->
                     if !completed > warmup then begin
-                      Sim.Stats.Series.add_time series r.Apps.Http_client.elapsed;
+                      samples :=
+                        Sim.Stime.to_us r.Apps.Http_client.elapsed :: !samples;
                       measured_bytes :=
                         !measured_bytes + String.length r.Apps.Http_client.body;
                       finish := Sim.Engine.now f.engine
@@ -221,15 +225,12 @@ let run ?params ?flowcache ?(clients = 8) ?(seed = 7) ?(warmup = 50)
   in
   {
     clients;
-    completed = Sim.Stats.Series.count series;
+    completed = List.length !samples;
     errors = !errors;
     goodput_mbps;
-    mean_us = (if Sim.Stats.Series.is_empty series then 0.
-               else Sim.Stats.Series.mean series);
-    p50_us = (if Sim.Stats.Series.is_empty series then 0.
-              else Sim.Stats.Series.percentile series 50.);
-    p99_us = (if Sim.Stats.Series.is_empty series then 0.
-              else Sim.Stats.Series.percentile series 99.);
+    mean_us = (if !samples = [] then 0. else Common.mean !samples);
+    p50_us = percentile_or_zero !samples 50.;
+    p99_us = percentile_or_zero !samples 99.;
     evictions = server_cache_evictions f;
   }
 
@@ -331,7 +332,7 @@ let scale_setup ?params ?(clients = 8) ?(seed = 11) ?(setup_gap_us = 20)
      self-inflicted queueing).  Callable repeatedly — each call is one
      timing round. *)
   fun () ->
-    let series = Sim.Stats.Series.create () in
+    let samples = ref [] in
     let bytes = ref 0 and errors = ref 0 in
     let t0 = Sim.Engine.now f.engine in
     let finish = ref t0 in
@@ -350,8 +351,9 @@ let scale_setup ?params ?(clients = 8) ?(seed = 11) ?(setup_gap_us = 20)
                     ~path (fun res ->
                       (match res with
                       | Some r when r.Apps.Http_client.status = 200 ->
-                          Sim.Stats.Series.add_time series
-                            r.Apps.Http_client.elapsed;
+                          samples :=
+                            Sim.Stime.to_us r.Apps.Http_client.elapsed
+                            :: !samples;
                           bytes := !bytes + String.length r.Apps.Http_client.body
                       | _ -> incr errors);
                       finish := Sim.Engine.now f.engine;
@@ -374,10 +376,6 @@ let scale_setup ?params ?(clients = 8) ?(seed = 11) ?(setup_gap_us = 20)
       probe_goodput_mbps =
         (if sim_elapsed_us > 0. then float_of_int !bytes *. 8. /. sim_elapsed_us
          else 0.);
-      probe_p50_us =
-        (if Sim.Stats.Series.is_empty series then 0.
-         else Sim.Stats.Series.percentile series 50.);
-      probe_p99_us =
-        (if Sim.Stats.Series.is_empty series then 0.
-         else Sim.Stats.Series.percentile series 99.);
+      probe_p50_us = percentile_or_zero !samples 50.;
+      probe_p99_us = percentile_or_zero !samples 99.;
     }

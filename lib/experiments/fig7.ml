@@ -15,30 +15,20 @@ type row = { payload : int; plexus_us : float; du_us : float }
 
 let sizes = [ 64; 256; 512; 1024; 1460 ]
 
-(* Drive one echo ping-pong session; returns mean steady-state RTT. *)
-let echo_driver ~engine ~send ~on_reply:set_on_reply ~payload_len ~warmup
-    ~iters =
-  let series = Sim.Stats.Series.create () in
+(* One echo ping-pong session over a byte stream: a round completes when
+   the whole payload has come back.  [on_receive] registers the stream's
+   receive callback.  Returns [start] and the samples. *)
+let echo_driver ~engine ~send ~on_receive ~payload_len ~warmup ~iters =
   let payload = String.make payload_len 'p' in
-  let remaining = ref (warmup + iters) in
   let got = ref 0 in
-  let sent_at = ref Sim.Stime.zero in
-  let send_next () =
-    if !remaining > 0 then begin
-      decr remaining;
+  Common.closed_loop ~engine ~warmup ~iters
+    ~send:(fun () ->
       got := 0;
-      sent_at := Sim.Engine.now engine;
-      send payload
-    end
-  in
-  set_on_reply (fun data ->
-      got := !got + String.length data;
-      if !got >= payload_len then begin
-        let rtt = Sim.Stime.sub (Sim.Engine.now engine) !sent_at in
-        if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-        send_next ()
-      end);
-  (send_next, series)
+      send payload)
+    (fun reply ->
+      on_receive (fun data ->
+          got := !got + String.length data;
+          if !got >= payload_len then reply ()))
 
 let plexus_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
   let engine = Sim.Engine.create () in
@@ -88,17 +78,15 @@ let plexus_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
   with
   | Error _ -> assert false
   | Ok conn ->
-      let on_reply = ref (fun (_ : string) -> ()) in
-      Plexus.Tcp_mgr.on_receive conn (fun d -> !on_reply d);
-      let send_next, series =
+      let start, samples =
         echo_driver ~engine
           ~send:(fun data -> Plexus.Tcp_mgr.send conn data)
-          ~on_reply:(fun f -> on_reply := f)
+          ~on_receive:(Plexus.Tcp_mgr.on_receive conn)
           ~payload_len ~warmup ~iters
       in
-      Plexus.Tcp_mgr.on_established conn (fun () -> send_next ());
+      Plexus.Tcp_mgr.on_established conn start;
       Sim.Engine.run engine ~until:(Sim.Stime.s 120) ~max_events:50_000_000;
-      Sim.Stats.Series.mean series
+      Common.mean (samples ())
 
 let du_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
   let engine = Sim.Engine.create () in
@@ -139,17 +127,15 @@ let du_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
   let conn =
     Osmodel.Du_stack.tcp_connect client ~dst:(Common.ip_middle, service_port) ()
   in
-  let on_reply = ref (fun (_ : string) -> ()) in
-  Osmodel.Du_stack.on_receive conn (fun d -> !on_reply d);
-  let send_next, series =
+  let start, samples =
     echo_driver ~engine
       ~send:(fun data -> Osmodel.Du_stack.tcp_send client conn data)
-      ~on_reply:(fun f -> on_reply := f)
+      ~on_receive:(Osmodel.Du_stack.on_receive conn)
       ~payload_len ~warmup ~iters
   in
-  Osmodel.Du_stack.on_established conn (fun () -> send_next ());
+  Osmodel.Du_stack.on_established conn start;
   Sim.Engine.run engine ~until:(Sim.Stime.s 120) ~max_events:50_000_000;
-  Sim.Stats.Series.mean series
+  Common.mean (samples ())
 
 let run ?(params = Netsim.Costs.ethernet ()) ?warmup ?iters () =
   List.map

@@ -20,17 +20,16 @@ let transfer_bytes = 2_000_000
 
 (* Bulk transfer over Plexus: connect A->B, push [bytes], record the time
    from connection establishment to full delivery at B.  Also returns the
-   distribution of gaps between successive chunk arrivals at the sink —
-   recorded into a log-bucketed histogram, not a Series: a bulk transfer
-   delivers an unbounded number of chunks, exactly the case Series is
-   deprecated for. *)
+   distribution of gaps between successive chunk arrivals at the sink,
+   recorded into a log-bucketed histogram: a bulk transfer delivers an
+   unbounded number of chunks. *)
 let plexus_transfer_timed ?(bytes = transfer_bytes) params =
   let p = Common.plexus_pair params in
   let engine = p.Common.engine in
   let received = ref 0 in
   let start_at = ref Sim.Stime.zero in
   let done_at = ref None in
-  let gaps = Sim.Stats.Histogram.create () in
+  let gaps = Observe.Histogram.create () in
   let last_arrival = ref None in
   (match
      Plexus.Tcp_mgr.listen (Plexus.Stack.tcp p.Common.b) ~owner:"sink"
@@ -40,7 +39,7 @@ let plexus_transfer_timed ?(bytes = transfer_bytes) params =
              let now = Sim.Engine.now engine in
              (match !last_arrival with
              | Some prev ->
-                 Sim.Stats.Histogram.record gaps
+                 Observe.Histogram.record gaps
                    (Sim.Stime.to_ns (Sim.Stime.sub now prev))
              | None -> ());
              last_arrival := Some now;
@@ -104,8 +103,8 @@ let us_of_ns n = float_of_int n /. 1000.
 let row ?bytes ~device ~paper_plexus ~paper_du params =
   let plexus_mbps, gaps = plexus_transfer_timed ?bytes params in
   let gap p =
-    if Sim.Stats.Histogram.is_empty gaps then nan
-    else us_of_ns (Sim.Stats.Histogram.percentile gaps p)
+    if Observe.Histogram.is_empty gaps then nan
+    else us_of_ns (Observe.Histogram.percentile gaps p)
   in
   {
     device;

@@ -16,11 +16,10 @@ val plexus_transfer : ?bytes:int -> Netsim.Costs.device -> float
 (** Goodput of a bulk Plexus TCP transfer, Mb/s. *)
 
 val plexus_transfer_timed :
-  ?bytes:int -> Netsim.Costs.device -> float * Sim.Stats.Histogram.t
+  ?bytes:int -> Netsim.Costs.device -> float * Observe.Histogram.t
 (** Goodput plus the chunk-arrival gap distribution (nanoseconds),
-    recorded into a log-bucketed {!Sim.Stats.Histogram} — unbounded
-    sample counts are exactly what {!Sim.Stats.Series} is deprecated
-    for. *)
+    recorded into a log-bucketed {!Observe.Histogram}: a bulk transfer
+    delivers an unbounded number of chunks. *)
 
 val du_transfer : ?bytes:int -> Netsim.Costs.device -> float
 

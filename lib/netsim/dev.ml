@@ -230,17 +230,19 @@ let pio_cost t len = Costs.per_byte t.params.Costs.pio_ns_per_byte len
 let tracing t =
   match t.otrace with Some tr -> Observe.Trace.active tr | None -> false
 
-(* Callers test [tracing] first, so a span's detail is built only when
-   the span is emitted. *)
-let fault_span t ~fault ~detail =
+(* Callers test [tracing] first, so a span is built only when it is
+   emitted. *)
+let span t event =
   match t.otrace with
   | Some tr ->
       Observe.Trace.emit tr
-        {
-          Observe.Trace.at_ns = Sim.Stime.to_ns (Sim.Engine.now t.engine);
-          event = Observe.Trace.Wire_fault { link = t.name; fault; detail };
-        }
+        { Observe.Trace.at_ns = Sim.Stime.to_ns (Sim.Engine.now t.engine); event }
   | None -> ()
+
+let fault_span t ~fault ~detail =
+  span t (Observe.Trace.Wire_fault { link = t.name; fault; detail })
+
+let drop_span t ~reason = span t (Observe.Trace.Drop { scope = t.name; reason })
 
 (* Queue depths and drop counts as sampling gauges — read at registry
    snapshot time only, nothing on the per-frame path. *)
@@ -280,10 +282,6 @@ let interrupt_service peer len pkt =
       | Some h ->
           peer.counters.rx_packets <- peer.counters.rx_packets + 1;
           peer.counters.rx_bytes <- peer.counters.rx_bytes + len;
-          if Sim.Trace.on () then
-            Sim.Trace.emit
-              (Sim.Engine.now peer.engine)
-              "%s: rx %d bytes" peer.name len;
           h pkt)
 
 (* The poller: drain the deferred queue in batches at thread priority.
@@ -306,10 +304,6 @@ let rec drain_deferred peer ac =
         let deliver upcall =
           peer.counters.rx_packets <- peer.counters.rx_packets + n;
           peer.counters.rx_bytes <- peer.counters.rx_bytes + bytes;
-          if Sim.Trace.on () then
-            Sim.Trace.emit
-              (Sim.Engine.now peer.engine)
-              "%s: polled rx batch of %d (%d bytes)" peer.name n bytes;
           upcall ()
         in
         (match peer.rx_deferred_handler with
@@ -352,9 +346,7 @@ let deliver_to peer (pkt : Mbuf.ro Mbuf.t) =
   in
   if not ring_slot then begin
     peer.counters.rx_drops <- peer.counters.rx_drops + 1;
-    if Sim.Trace.on () then
-      Sim.Trace.drop (Sim.Engine.now peer.engine) ~scope:peer.name
-        ~reason:"rx_ring_full";
+    if tracing peer then drop_span peer ~reason:"rx_ring_full";
     Mbuf.free pkt
   end
   else begin
@@ -369,9 +361,7 @@ let deliver_to peer (pkt : Mbuf.ro Mbuf.t) =
           | None -> ());
           peer.counters.rx_drops <- peer.counters.rx_drops + 1;
           peer.counters.rx_shed <- peer.counters.rx_shed + 1;
-          if Sim.Trace.on () then
-            Sim.Trace.drop (Sim.Engine.now peer.engine) ~scope:peer.name
-              ~reason:"admission_shed";
+          if tracing peer then drop_span peer ~reason:"admission_shed";
           Mbuf.free pkt
         end
         else begin
@@ -412,9 +402,7 @@ let deliver_batch peer pkts =
       let kept, dropped = split 0 pkts in
       if dropped <> [] then begin
         peer.counters.rx_drops <- peer.counters.rx_drops + List.length dropped;
-        if Sim.Trace.on () then
-          Sim.Trace.drop (Sim.Engine.now peer.engine) ~scope:peer.name
-            ~reason:"rx_ring_full";
+        if tracing peer then drop_span peer ~reason:"rx_ring_full";
         List.iter Mbuf.free dropped
       end;
       if kept <> [] then begin
@@ -430,10 +418,6 @@ let deliver_batch peer pkts =
             let deliver upcall =
               peer.counters.rx_packets <- peer.counters.rx_packets + granted;
               peer.counters.rx_bytes <- peer.counters.rx_bytes + bytes;
-              if Sim.Trace.on () then
-                Sim.Trace.emit
-                  (Sim.Engine.now peer.engine)
-                  "%s: rx batch of %d (%d bytes)" peer.name granted bytes;
               upcall ()
             in
             match peer.rx_batch with
@@ -453,8 +437,6 @@ let apply_faults t peer plan frame ~len ~now =
   match Faults.verdict plan ~now ~len with
   | Faults.Drop why ->
       t.counters.wire_drops <- t.counters.wire_drops + 1;
-      if Sim.Trace.on () then
-        Sim.Trace.drop now ~scope:t.name ~reason:("wire_" ^ why);
       if tracing t then fault_span t ~fault:why ~detail:"";
       Mbuf.free frame
   | Faults.Deliver copies ->
@@ -505,9 +487,7 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
   Sim.Cpu.run t.cpu ~prio ~cost (fun () ->
       if t.txq >= t.params.Costs.txq_limit then begin
         t.counters.tx_drops <- t.counters.tx_drops + 1;
-        if Sim.Trace.on () then
-          Sim.Trace.drop (Sim.Engine.now t.engine) ~scope:t.name
-            ~reason:"txq_full";
+        if tracing t then drop_span t ~reason:"txq_full";
         Mbuf.free frame
       end
       else begin
@@ -522,9 +502,6 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
         t.wire_busy_until := done_at;
         t.counters.tx_packets <- t.counters.tx_packets + 1;
         t.counters.tx_bytes <- t.counters.tx_bytes + len;
-        if Sim.Trace.on () then
-          Sim.Trace.emit now "%s: tx %d bytes (wire until %a)" t.name len
-            Sim.Stime.pp done_at;
         ignore
           (Sim.Engine.schedule t.engine ~at:done_at (fun () ->
                t.txq <- t.txq - 1;
@@ -540,10 +517,6 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
                      (* Wire loss is fault injection, not queue overflow:
                         counted apart from [tx_drops]. *)
                      t.counters.wire_drops <- t.counters.wire_drops + 1;
-                     if Sim.Trace.on () then
-                       Sim.Trace.drop
-                         (Sim.Engine.now t.engine)
-                         ~scope:t.name ~reason:"wire_loss";
                      if tracing t then fault_span t ~fault:"loss" ~detail:"";
                      Mbuf.free frame
                    end

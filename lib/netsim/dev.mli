@@ -125,8 +125,11 @@ val register : t -> Observe.Registry.t -> unit
     snapshotted. *)
 
 val set_trace : t -> Observe.Trace.t -> unit
-(** Route injected-fault spans ({!Observe.Trace.Wire_fault}) to this
-    endpoint; wired to the host kernel's trace by {!Host.add_device}. *)
+(** Route the device's spans to this endpoint: injected faults as
+    {!Observe.Trace.Wire_fault}, and frames dropped at a full receive
+    ring, by admission shedding or at a full transmit queue as
+    {!Observe.Trace.Drop} with [scope] the device name.  Wired to the
+    host kernel's trace by {!Host.add_device}. *)
 
 val set_flight : t -> Observe.Flight.t -> unit
 (** Attach the host's packet flight recorder; wired by

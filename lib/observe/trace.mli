@@ -48,6 +48,9 @@ type event =
       (** a cached flow path was discarded (stale generation, divergent
           replay, or a discarded recording) *)
   | Drop of { scope : string; reason : string }
+      (** a frame or packet was discarded at [scope] (a device name or a
+          protocol layer); [reason] names the cause, e.g.
+          ["rx_ring_full"], ["admission_shed"], ["txq_full"] *)
   | Wire_fault of { link : string; fault : string; detail : string }
       (** an injected link fault fired: [fault] is the fault class
           (["loss"], ["burst_loss"], ["corrupt"], ["duplicate"],
@@ -62,8 +65,6 @@ type event =
       to_domain : int;
       frames : int;
     }  (** a cross-domain SPSC ring handoff in the parallel datapath *)
-  | Message of { scope : string; text : string }
-      (** freeform text (the legacy [Sim.Trace] printf route) *)
 
 type span = { at_ns : int; event : event }
 

@@ -207,12 +207,11 @@ type t = {
   costs : costs;
   reg : Observe.Registry.t option;
   trace : Observe.Trace.t;
-  raises : Sim.Stats.Counter.t;
-  guard_evals : Sim.Stats.Counter.t;
-  index_lookups : Sim.Stats.Counter.t;
-  invocations : Sim.Stats.Counter.t;
-  terminations : Sim.Stats.Counter.t;
-  faults : Sim.Stats.Counter.t;
+  raises : int ref;
+  guard_evals : int ref;
+  index_lookups : int ref;
+  invocations : int ref;
+  faults : int ref;
   eph_commits : int ref;
   eph_actions : int ref;       (* committed ephemeral actions *)
   eph_terminated : int ref;    (* budget overruns *)
@@ -260,12 +259,11 @@ let create ?registry ?trace ~cpu ~costs () =
     costs;
     reg = registry;
     trace = (match trace with Some tr -> tr | None -> Observe.Trace.create ());
-    raises = Sim.Stats.Counter.create ();
-    guard_evals = Sim.Stats.Counter.create ();
-    index_lookups = Sim.Stats.Counter.create ();
-    invocations = Sim.Stats.Counter.create ();
-    terminations = Sim.Stats.Counter.create ();
-    faults = Sim.Stats.Counter.create ();
+    raises = mkref registry "spin.raises";
+    guard_evals = mkref registry "spin.guard_evals";
+    index_lookups = mkref registry "spin.index_lookups";
+    invocations = mkref registry "spin.invocations";
+    faults = mkref registry "spin.faults";
     eph_commits = mkref registry "spin.eph.commits";
     eph_actions = mkref registry "spin.eph.committed_actions";
     eph_terminated = mkref registry "spin.eph.terminated";
@@ -292,12 +290,12 @@ let cpu t = t.cpu
 let costs t = t.costs
 let registry t = t.reg
 let trace t = t.trace
-let raises t = Sim.Stats.Counter.get t.raises
-let guard_evals t = Sim.Stats.Counter.get t.guard_evals
-let index_lookups t = Sim.Stats.Counter.get t.index_lookups
-let invocations t = Sim.Stats.Counter.get t.invocations
-let terminations t = Sim.Stats.Counter.get t.terminations
-let faults t = Sim.Stats.Counter.get t.faults
+let raises t = !(t.raises)
+let guard_evals t = !(t.guard_evals)
+let index_lookups t = !(t.index_lookups)
+let invocations t = !(t.invocations)
+let terminations t = !(t.eph_terminated)
+let faults t = !(t.faults)
 let eph_failures t = !(t.eph_failures)
 let quarantines t = !(t.quarantines)
 let swaps t = !(t.swaps)
@@ -1048,7 +1046,7 @@ let tree_views t = List.rev_map (fun f -> f ()) t.tree_viewers
    handler is uninstalled — the extension model's equivalent of killing
    the offending extension rather than the system. *)
 let fault ev h =
-  Sim.Stats.Counter.incr ev.disp.faults;
+  incr ev.disp.faults;
   uninstall_h ev h
 
 (* Asynchronous exceptions signal resource exhaustion of the *kernel*,
@@ -1208,7 +1206,7 @@ let handler_leave d h =
 
 let deliver ev v h flow over =
   let d = ev.disp in
-  Sim.Stats.Counter.incr d.invocations;
+  incr d.invocations;
   let prio = prio_of ev over in
   let spawn =
     match ev.mode with
@@ -1280,7 +1278,6 @@ let deliver ev v h flow over =
                      let run_ns = Sim.Stime.to_ns r.Ephemeral.consumed in
                      note_run d ev v h ~run_ns ~a0;
                      if r.Ephemeral.terminated then begin
-                       Sim.Stats.Counter.incr d.terminations;
                        incr d.eph_terminated;
                        incr h.hs.h_terms
                      end;
@@ -1340,14 +1337,14 @@ let raise_tree ?over ev v flow =
   let leaf = leaf_of ev plan v in
   let n_exact = Array.length leaf.tl_exact in
   let n_resid = Array.length leaf.tl_resid in
-  Sim.Stats.Counter.add d.guard_evals n_resid;
+  d.guard_evals := !(d.guard_evals) + n_resid;
   let visited, indexed =
     match plan with
     | Bare { indexed; _ } ->
         incr (if indexed then ev.ev_indexed else ev.ev_linear);
         (0, indexed)
     | Tree tr ->
-        Sim.Stats.Counter.incr d.index_lookups;
+        incr d.index_lookups;
         incr ev.ev_indexed;
         incr ev.ev_tree;
         ev.tr_resid_evals := !(ev.tr_resid_evals) + n_resid;
@@ -1464,7 +1461,7 @@ let run_hop ev v hids =
     (fun acc hid ->
       match Hashtbl.find_opt ev.table hid with
       | Some ({ kind = Plain { cost; dyncost; fn }; _ } as h) ->
-          Sim.Stats.Counter.incr d.invocations;
+          incr d.invocations;
           let a0 = Packet.Mbuf.total_allocated () in
           contain ev h (fun () -> fn v);
           let total =
@@ -1629,7 +1626,7 @@ let dispatch ?prio ev v =
 
 let raise ?prio ev v =
   let d = ev.disp in
-  Sim.Stats.Counter.incr d.raises;
+  incr d.raises;
   incr ev.ev_raises;
   dispatch ?prio ev v
 
@@ -1643,7 +1640,7 @@ let raise_batch ?prio ev vs =
   | vs ->
       let d = ev.disp in
       let n = List.length vs in
-      Sim.Stats.Counter.add d.raises n;
+      d.raises := !(d.raises) + n;
       ev.ev_raises := !(ev.ev_raises) + n;
       List.iter (fun v -> dispatch ?prio ev v) vs
 

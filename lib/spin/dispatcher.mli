@@ -49,8 +49,10 @@ val create :
   ?registry:Observe.Registry.t -> ?trace:Observe.Trace.t ->
   cpu:Sim.Cpu.t -> costs:costs -> unit -> t
 (** [create ?registry ?trace ~cpu ~costs ()] builds a dispatcher.  With a
-    [registry], per-event and per-handler metrics are published under
-    [spin.<event>...] names; without one, the same counts are kept in
+    [registry], dispatcher-wide counters are published under
+    [spin.raises|guard_evals|index_lookups|invocations|faults|eph.*],
+    per-event and per-handler metrics under [spin.<event>...] names;
+    without one, the same counts are kept in
     private refs (identical hot-path cost, minus histogram recording).
     [trace] is the span endpoint; it defaults to a fresh endpoint with a
     [Null] sink, under which span construction is skipped entirely. *)
@@ -321,7 +323,9 @@ val index_lookups : t -> int
 (** Raises that walked a switch tree (a bare leaf is not a lookup). *)
 
 val invocations : t -> int
+
 val terminations : t -> int
+(** Ephemeral programs cut off at their budget ([spin.eph.terminated]). *)
 
 val faults : t -> int
 (** Handlers (or guards) that raised an exception.  The fault is

@@ -128,12 +128,11 @@ let video_end_to_end_plexus () =
      inter-arrival times hover around the 33ms period *)
   Alcotest.(check int) "no deadline misses" 0
     (Apps.Video_client.deadline_misses client);
-  let jit = Apps.Video_client.jitter client in
+  let jit_ms = Observe.Histogram.mean (Apps.Video_client.jitter client) /. 1e6 in
   Alcotest.(check bool)
-    (Printf.sprintf "inter-arrival ~33ms (%.1fms)"
-       (Sim.Stats.Series.mean jit /. 1000.))
+    (Printf.sprintf "inter-arrival ~33ms (%.1fms)" jit_ms)
     true
-    (abs_float ((Sim.Stats.Series.mean jit /. 1000.) -. 33.3) < 3.)
+    (abs_float (jit_ms -. 33.3) < 3.)
 
 (* ---- forwarder ---------------------------------------------------------- *)
 

@@ -87,17 +87,6 @@ let kthread_spawn () =
   Sim.Engine.run engine;
   Alcotest.(check int) "run charges cost" 15_000 (Sim.Stime.to_ns !at)
 
-(* ---- Trace ----------------------------------------------------------------- *)
-
-let trace_toggle () =
-  (* enabled tracing must not disturb results; just exercise both paths *)
-  Sim.Trace.enabled := false;
-  Sim.Trace.emit (us 1) "quiet %d" 1;
-  Sim.Trace.enabled := true;
-  Sim.Trace.emit (us 2) "loud %d" 2;
-  Sim.Trace.enabled := false;
-  Alcotest.(check pass) "no crash" () ()
-
 (* ---- Ether manager policy --------------------------------------------------- *)
 
 let ether_policy () =
@@ -218,7 +207,6 @@ let suite =
       ] );
     ("more.graph", [ tc "bookkeeping" graph_bookkeeping ]);
     ("more.kthread", [ tc "spawn and run" kthread_spawn ]);
-    ("more.trace", [ tc "toggle" trace_toggle ]);
     ( "more.ether",
       [
         tc "policy and prio" ether_policy;
@@ -280,8 +268,7 @@ let rx_ring_sheds_bursts () =
 
 let simulation_deterministic () =
   let run () =
-    Sim.Stats.Series.mean
-      (Experiments.Common.udp_echo_plexus ~iters:20 (Netsim.Costs.ethernet ()))
+    Experiments.Common.udp_echo_plexus ~iters:20 (Netsim.Costs.ethernet ())
   in
   let x = run () and y = run () in
   Alcotest.(check (float 0.0)) "bit-identical across runs" x y

@@ -127,6 +127,59 @@ let dev_txq_overflow () =
   Alcotest.(check int) "sent + dropped = offered" 10
     (c.Netsim.Dev.tx_packets + c.Netsim.Dev.tx_drops)
 
+(* Device drops are spans on the host kernel's trace: a ring sink
+   attached there sees each one, scoped to the dropping device. *)
+let dev_drops_traced () =
+  let ring_on (e : Netsim.Network.endpoint) =
+    let ring = Observe.Trace.Ring.create ~capacity:4096 () in
+    Observe.Trace.set_sink
+      (Spin.Kernel.trace (Netsim.Host.kernel e.host))
+      (Observe.Trace.Ring ring);
+    ring
+  in
+  let check_drop ring (e : Netsim.Network.endpoint) reason =
+    let scope = Netsim.Dev.name e.dev in
+    Alcotest.(check bool)
+      (Printf.sprintf "drop %s %s" scope reason)
+      true
+      (List.exists
+         (fun (s : Observe.Trace.span) ->
+           s.event = Observe.Trace.Drop { scope; reason })
+         (Observe.Trace.Ring.to_list ring))
+  in
+  (* 20 frames land while B's CPU is busy: a 4-slot receive ring
+     overflows, and admission past a budget of 2 with 4 deferred sheds *)
+  let burst_into_busy_host setup reason =
+    let engine, a, b = mk_pair ~params:(Netsim.Costs.ethernet ()) () in
+    let ring = ring_on b in
+    setup b.dev;
+    Netsim.Dev.set_rx b.dev ignore;
+    Sim.Cpu.run (Netsim.Host.cpu b.host) ~prio:Sim.Cpu.Interrupt
+      ~cost:(Sim.Stime.ms 50) ignore;
+    for _ = 1 to 20 do
+      Netsim.Dev.transmit a.dev (Mbuf.alloc 200)
+    done;
+    Sim.Engine.run engine;
+    check_drop ring b reason
+  in
+  burst_into_busy_host
+    (fun dev -> Netsim.Dev.set_rx_pool dev (Pool.create ~capacity:4 ()))
+    "rx_ring_full";
+  burst_into_busy_host
+    (Netsim.Dev.set_admission ~budget:2 ~window:(Sim.Stime.ms 100)
+       ~defer_limit:4 ~poll_batch:4)
+    "admission_shed";
+  (* a full transmit queue on the sending side *)
+  let params = { (Netsim.Costs.ethernet ()) with Netsim.Costs.txq_limit = 2 } in
+  let engine, a, b = mk_pair ~params () in
+  let ring = ring_on a in
+  Netsim.Dev.set_rx b.dev ignore;
+  for _ = 1 to 10 do
+    Netsim.Dev.transmit a.dev (Mbuf.alloc 1000)
+  done;
+  Sim.Engine.run engine;
+  check_drop ring a "txq_full"
+
 (* ---- Disk -------------------------------------------------------------- *)
 
 let disk_read () =
@@ -229,6 +282,7 @@ let suite =
         tc "shared medium contends" dev_shared_medium_contends;
         tc "PIO charges the CPU" dev_pio_charges_cpu;
         tc "txq overflow drops" dev_txq_overflow;
+        tc "drops are kernel trace spans" dev_drops_traced;
       ] );
     ( "netsim.disk",
       [ tc "read latency and data" disk_read; tc "serializes requests" disk_serializes ] );

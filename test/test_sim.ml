@@ -321,42 +321,47 @@ let alloc_jitter_untraced () =
   Alcotest.(check bool) "every frame delayed" true (delays > 2_000);
   check_budget "jitter over a plain frame" ~bound:64 (jittered -. plain)
 
-(* ---- Stats ---------------------------------------------------------- *)
-
-let stats_counter () =
-  let c = Sim.Stats.Counter.create () in
-  Sim.Stats.Counter.incr c;
-  Sim.Stats.Counter.add c 4;
-  Alcotest.(check int) "count" 5 (Sim.Stats.Counter.get c);
-  Sim.Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Sim.Stats.Counter.get c)
+(* ---- Sample statistics (Experiments.Common) ------------------------- *)
 
 let stats_series () =
-  let s = Sim.Stats.Series.create () in
-  List.iter (Sim.Stats.Series.add s) [ 1.; 2.; 3.; 4.; 5. ];
-  Alcotest.(check (float 1e-9)) "mean" 3. (Sim.Stats.Series.mean s);
-  Alcotest.(check (float 1e-9)) "median" 3. (Sim.Stats.Series.median s);
-  Alcotest.(check (float 1e-9)) "min" 1. (Sim.Stats.Series.minimum s);
-  Alcotest.(check (float 1e-9)) "max" 5. (Sim.Stats.Series.maximum s);
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5) (Sim.Stats.Series.stddev s);
-  Alcotest.(check (float 1e-9)) "p0" 1. (Sim.Stats.Series.percentile s 0.);
-  Alcotest.(check (float 1e-9)) "p100" 5. (Sim.Stats.Series.percentile s 100.);
-  Alcotest.(check (float 1e-9)) "p25 interpolates" 2. (Sim.Stats.Series.percentile s 25.)
+  let mean = Experiments.Common.mean and pct = Experiments.Common.percentile in
+  let xs = [ 4.; 1.; 5.; 3.; 2. ] in
+  Alcotest.(check (float 1e-9)) "mean" 3. (mean xs);
+  Alcotest.(check (float 1e-9)) "median" 3. (pct xs 50.);
+  Alcotest.(check (float 1e-9)) "p0" 1. (pct xs 0.);
+  Alcotest.(check (float 1e-9)) "p100" 5. (pct xs 100.);
+  Alcotest.(check (float 1e-9)) "p25 interpolates" 2. (pct xs 25.);
+  Alcotest.(check bool) "empty mean" true (Float.is_nan (mean []));
+  Alcotest.(check bool) "empty percentile" true (Float.is_nan (pct [] 50.));
+  (* summed head first: the order decides the last bit *)
+  Alcotest.(check (float 0.)) "summed in list order"
+    (((0.1 +. 0.2) +. 0.3) /. 3.)
+    (mean [ 0.1; 0.2; 0.3 ])
 
+(* The closed-loop driver records each measured round trip in µs. *)
 let stats_series_time () =
-  let s = Sim.Stats.Series.create () in
-  Sim.Stats.Series.add_time s (us 12);
-  Alcotest.(check (float 1e-9)) "stored as us" 12. (Sim.Stats.Series.mean s)
+  let engine = Sim.Engine.create () in
+  let reply = ref ignore in
+  let start, samples =
+    Experiments.Common.closed_loop ~engine ~warmup:1 ~iters:2
+      ~send:(fun () ->
+        ignore (Sim.Engine.schedule_in engine ~delay:(us 12) (fun () -> !reply ())))
+      (fun r -> reply := r)
+  in
+  start ();
+  Sim.Engine.run engine;
+  Alcotest.(check (list (float 0.))) "stored as us, warm-up dropped"
+    [ 12.; 12. ] (samples ());
+  Alcotest.(check int) "three rounds" 36_000
+    (Sim.Stime.to_ns (Sim.Engine.now engine))
 
 let stats_percentile_bounds =
   QCheck.Test.make ~name:"percentile within min..max"
     QCheck.(pair (list_of_size Gen.(1 -- 40) (float_bound_exclusive 1000.)) (float_bound_inclusive 100.))
     (fun (xs, p) ->
-      let s = Sim.Stats.Series.create () in
-      List.iter (Sim.Stats.Series.add s) xs;
-      let v = Sim.Stats.Series.percentile s p in
-      v >= Sim.Stats.Series.minimum s -. 1e-9
-      && v <= Sim.Stats.Series.maximum s +. 1e-9)
+      let v = Experiments.Common.percentile xs p in
+      v >= List.fold_left Float.min infinity xs -. 1e-9
+      && v <= List.fold_left Float.max neg_infinity xs +. 1e-9)
 
 let tc name f = Alcotest.test_case name `Quick f
 let prop t = QCheck_alcotest.to_alcotest t
@@ -411,7 +416,6 @@ let suite =
       ] );
     ( "sim.stats",
       [
-        tc "counter" stats_counter;
         tc "series summary" stats_series;
         tc "time samples in us" stats_series_time;
         prop stats_percentile_bounds;
