@@ -95,14 +95,14 @@ let default_costs =
      discards the in-flight recording instead of committing a stale
      entry (re-entrancy safety).
 
-   Replay runs the whole chain inside one interrupt work item: hop 0 is
-   scheduled with its modelled handler cost, nested raises consume their
-   recorded hops synchronously, and the accumulated cost of the inner
-   hops is charged as a single trailing work item.  A replayed raise
-   that diverges from the recording (different event, stale generation,
-   more raises than recorded) drops the entry and falls back to normal
-   graph dispatch mid-chain, so delivery is correct even when the cache
-   is wrong about the future. *)
+   Replay runs the whole chain synchronously in the raiser's context,
+   through the same [invoke] graph delivery uses: no demux, no guards,
+   no work items of its own.  Nested raises claim their recorded hops,
+   and the chain's modelled cost is charged once at the end.  A
+   replayed raise that diverges from the recording (different event,
+   stale generation, more raises than recorded) drops the entry and
+   falls back to graph dispatch mid-chain, so delivery is correct even
+   when the cache is wrong about the future. *)
 
 type hop = {
   hop_uid : int;  (* the event the recorded raise targeted *)
@@ -111,9 +111,12 @@ type hop = {
   hop_hids : int list;  (* accepting handlers, delivery order *)
 }
 
+(* Both hold the root event's entry table and the flow's signature:
+   a recording commits its chain there, a diverged replay drops it. *)
 type recording = {
   rec_ename : string;  (* root event name, for spans *)
-  rec_commit : hop array -> unit;  (* store into the root event's table *)
+  rec_entries : hop array Sharded.Cache.t;
+  rec_sig : string;
   mutable rec_hops : hop list;  (* reversed *)
   mutable rec_pending : int;  (* scheduled continuations not yet drained *)
   mutable rec_ok : bool;  (* false once any hop was uncacheable *)
@@ -121,14 +124,15 @@ type recording = {
 
 type replay = {
   rp_hops : hop array;
+  rp_entries : hop array Sharded.Cache.t;
+  rp_sig : string;
   mutable rp_claim : int;  (* next hop a nested raise should claim *)
   mutable rp_cost : Sim.Stime.t;  (* accumulated handler + index cost *)
   mutable rp_live : bool;  (* false once the chain has diverged *)
-  rp_pending : (unit -> Sim.Stime.t) Queue.t;
+  rp_pending : (unit -> unit) Queue.t;
       (* claimed hops awaiting execution, in raise order: running them
          FIFO after the claiming hop finishes reproduces graph
          dispatch's work-queue (hop-major) delivery order *)
-  rp_drop : unit -> unit;  (* remove the entry on divergence *)
 }
 
 (* The dispatcher's dynamic delivery context.  Set only around the
@@ -305,7 +309,6 @@ let path_cache_misses t = !(t.pc_misses)
 let path_cache_invalidations t = !(t.pc_invalidations)
 let path_cache_evictions t = !(t.pc_evictions)
 let set_flow_cache t on = t.fcache <- on
-let flow_cache_enabled t = t.fcache
 let set_flight t fl = t.flight <- fl
 let flight t = t.flight
 
@@ -622,6 +625,14 @@ let key_val k = k land 0xffff
    negative keys and dimensions at or above this bound. *)
 let max_tree_dims = 64
 
+(* Open a quarantine enforcement window at [now]: snapshot the ledger
+   the window's usage is measured against. *)
+let open_window h now =
+  h.qw_start <- now;
+  h.qw_cpu <- !(h.hs.h_cpu);
+  h.qw_allocs <- !(h.hs.h_allocs);
+  h.qw_terms <- !(h.hs.h_terms)
+
 let add_handler ev ?label ?ops ~cacheable ~exact guard gcost keys kind =
   let hkeys = List.sort_uniq compare keys in
   List.iter
@@ -694,10 +705,7 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost keys kind =
     if h.live && h.state = Staged then begin
       h.state <- Active;
       (* the first quarantine enforcement window opens at activation *)
-      h.qw_start <- now_ns ev.disp;
-      h.qw_cpu <- !(h.hs.h_cpu);
-      h.qw_allocs <- !(h.hs.h_allocs);
-      h.qw_terms <- !(h.hs.h_terms);
+      open_window h (now_ns ev.disp);
       Hashtbl.replace ev.table hid h;
       touch ev
     end
@@ -1053,10 +1061,9 @@ let fault ev h =
    not a misbehaving extension — containing them would let the system
    limp on with its runtime in an unknown state.  They propagate;
    everything else is an extension fault. *)
-let contain ev h f =
-  try f () with
-  | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-  | _exn -> fault ev h
+let extension_fault = function
+  | Stack_overflow | Out_of_memory -> false
+  | _ -> true
 
 let emit_span d event =
   Observe.Trace.emit d.trace { Observe.Trace.at_ns = now_ns d; event }
@@ -1083,12 +1090,7 @@ let quarantine_check ev h =
          caught at the very run that crosses it, because this check
          follows every run. *)
       let now = now_ns d in
-      if now - h.qw_start >= q.Verifier.q_window_ns then begin
-        h.qw_start <- now;
-        h.qw_cpu <- !(h.hs.h_cpu);
-        h.qw_allocs <- !(h.hs.h_allocs);
-        h.qw_terms <- !(h.hs.h_terms)
-      end;
+      if now - h.qw_start >= q.Verifier.q_window_ns then open_window h now;
       let over =
         !(h.hs.h_cpu) - h.qw_cpu > q.Verifier.q_max_cpu_ns
         || !(h.hs.h_allocs) - h.qw_allocs > q.Verifier.q_max_allocs
@@ -1112,30 +1114,24 @@ let quarantine_check ev h =
    unsampled packet pays one closure call and compare per site and a
    detached/disabled recorder pays one load and branch. *)
 let flight_note_raise d ev v =
-  match d.flight with
-  | Some fl when Observe.Flight.enabled fl -> (
-      match ev.markfn with
-      | Some mf ->
-          let pkt = mf v in
-          if pkt > 0 then begin
-            let at_ns = now_ns d in
-            Observe.Flight.note fl ~pkt ~at_ns
-              ~dur_ns:(Observe.Flight.since_ingress fl ~pkt ~at_ns)
-              (Observe.Flight.Raise { event = ev.ename })
-          end
-      | None -> ())
+  match (d.flight, ev.markfn) with
+  | Some fl, Some mf when Observe.Flight.enabled fl ->
+      let pkt = mf v in
+      if pkt > 0 then begin
+        let at_ns = now_ns d in
+        Observe.Flight.note fl ~pkt ~at_ns
+          ~dur_ns:(Observe.Flight.since_ingress fl ~pkt ~at_ns)
+          (Observe.Flight.Raise { event = ev.ename })
+      end
   | _ -> ()
 
 let flight_note_run d ev v h ~dur_ns =
-  match d.flight with
-  | Some fl when Observe.Flight.enabled fl -> (
-      match ev.markfn with
-      | Some mf ->
-          let pkt = mf v in
-          if pkt > 0 then
-            Observe.Flight.note fl ~pkt ~at_ns:(now_ns d) ~dur_ns
-              (Observe.Flight.Handler { event = ev.ename; label = h.label })
-      | None -> ())
+  match (d.flight, ev.markfn) with
+  | Some fl, Some mf when Observe.Flight.enabled fl ->
+      let pkt = mf v in
+      if pkt > 0 then
+        Observe.Flight.note fl ~pkt ~at_ns:(now_ns d) ~dur_ns
+          (Observe.Flight.Handler { event = ev.ename; label = h.label })
   | _ -> ()
 
 (* One run's ledger entry: run count, modelled CPU, mbufs allocated since
@@ -1158,16 +1154,18 @@ let note_run d ev v h ~run_ns ~a0 =
    recording instead of committing a chain the churn already
    invalidated. *)
 
+let cache_invalidate_span d ename reason =
+  if Observe.Trace.active d.trace then
+    emit_span d (Observe.Trace.Cache_invalidate { event = ename; reason })
+
 let rec_finish d r =
   if r.rec_ok then begin
     let hops = List.rev r.rec_hops in
-    if List.for_all hop_valid hops then r.rec_commit (Array.of_list hops)
+    if List.for_all hop_valid hops then
+      Sharded.Cache.put r.rec_entries r.rec_sig (Array.of_list hops)
     else begin
       incr d.pc_invalidations;
-      if Observe.Trace.active d.trace then
-        emit_span d
-          (Observe.Trace.Cache_invalidate
-             { event = r.rec_ename; reason = "churn-during-recording" })
+      cache_invalidate_span d r.rec_ename "churn-during-recording"
     end
   end
 
@@ -1204,112 +1202,108 @@ let handler_leave d h =
     if h.pending = 0 then h.live <- false
   end
 
+(* One handler run — the only code that runs a handler body, for graph
+   delivery and flow-cache replay alike.  A handler uninstalled since
+   its delivery was decided is skipped.  The body runs under the
+   raise's flow and priority context: a plain handler's [fn], or the
+   commit of the ephemeral plan [eph] its body returned at delivery
+   time.  A fault is contained ([fault]); the run then gets its ledger
+   entry ([run_ns] of modelled CPU), its span and its quarantine check.
+   No per-handler span is emitted while replaying: the root's
+   [Cache_hit] span stands for the whole chain. *)
+let invoke ev v h flow over ~run_ns eph =
+  if h.live then begin
+    let d = ev.disp in
+    d.flow <- flow;
+    d.prio_override <- over;
+    let a0 = Packet.Mbuf.total_allocated () in
+    let traced =
+      Observe.Trace.active d.trace
+      && match flow with Replaying _ -> false | No_flow | Recording _ -> true
+    in
+    (match (h.kind, eph) with
+    | Plain { fn; _ }, _ ->
+        (try fn v with e when extension_fault e -> fault ev h);
+        note_run d ev v h ~run_ns ~a0;
+        if traced then
+          emit_span d
+            (Observe.Trace.Handler_run
+               {
+                 event = ev.ename;
+                 hid = h.hid;
+                 label = h.label;
+                 duration_ns = run_ns;
+               })
+    | Eph _, Some plan -> (
+        match Ephemeral.commit plan with
+        | exception e when extension_fault e -> fault ev h
+        | r ->
+            incr d.eph_commits;
+            d.eph_actions := !(d.eph_actions) + r.Ephemeral.committed;
+            note_run d ev v h ~run_ns ~a0;
+            if r.Ephemeral.terminated then begin
+              incr d.eph_terminated;
+              incr h.hs.h_terms
+            end;
+            if traced then begin
+              let event = ev.ename and hid = h.hid and label = h.label in
+              let committed = r.Ephemeral.committed
+              and total = r.Ephemeral.total in
+              emit_span d
+                (if r.Ephemeral.terminated then
+                   Observe.Trace.Terminated
+                     { event; hid; label; committed; total; duration_ns = run_ns }
+                 else
+                   Observe.Trace.Ephemeral_commit
+                     { event; hid; label; committed; total; duration_ns = run_ns })
+            end)
+    | Eph _, None -> () (* never delivered without its plan *));
+    d.prio_override <- None;
+    d.flow <- No_flow;
+    quarantine_check ev h
+  end
+
+let plain_cost cost dyncost v =
+  match dyncost with None -> cost | Some f -> Sim.Stime.add cost (f v)
+
+(* Queue one run of [h] as a work item costing [cost]. *)
+let schedule ev v h flow over ~cost ~run_ns eph =
+  let d = ev.disp in
+  flow_enter flow;
+  handler_enter h;
+  Sim.Cpu.run d.cpu ~prio:(prio_of ev over) ~cost (fun () ->
+      invoke ev v h flow over ~run_ns eph;
+      handler_leave d h;
+      flow_leave d flow)
+
+(* Graph delivery: the run's modelled cost, then one work item.  A plain
+   handler costs its [cost] plus [dyncost]; an ephemeral handler's body
+   runs now, at plan time, and costs what its plan consumes within the
+   budget — a crash there is contained and counted as a failure,
+   distinct from a budget overrun. *)
 let deliver ev v h flow over =
   let d = ev.disp in
   incr d.invocations;
-  let prio = prio_of ev over in
   let spawn =
     match ev.mode with
     | Interrupt -> Sim.Stime.zero
     | Thread -> d.costs.thread_spawn
   in
   match h.kind with
-  | Plain { cost; dyncost; fn } ->
-      let cost =
-        match dyncost with
-        | None -> cost
-        | Some f -> Sim.Stime.add cost (f v)
-      in
-      let total = Sim.Stime.add spawn cost in
-      flow_enter flow;
-      handler_enter h;
-      Sim.Cpu.run d.cpu ~prio ~cost:total (fun () ->
-          (* skip if uninstalled while this invocation was queued *)
-          (if h.live then begin
-             d.flow <- flow;
-             d.prio_override <- over;
-             let a0 = Packet.Mbuf.total_allocated () in
-             contain ev h (fun () -> fn v);
-             d.prio_override <- None;
-             d.flow <- No_flow;
-             let run_ns = Sim.Stime.to_ns total in
-             note_run d ev v h ~run_ns ~a0;
-             if Observe.Trace.active d.trace then
-               emit_span d
-                 (Observe.Trace.Handler_run
-                    {
-                      event = ev.ename;
-                      hid = h.hid;
-                      label = h.label;
-                      duration_ns = run_ns;
-                    });
-             quarantine_check ev h
-           end);
-          handler_leave d h;
-          flow_leave d flow)
+  | Plain { cost; dyncost; _ } ->
+      let cost = Sim.Stime.add spawn (plain_cost cost dyncost v) in
+      schedule ev v h flow over ~cost ~run_ns:(Sim.Stime.to_ns cost) None
   | Eph { budget; fn } -> (
-      (* The handler body runs at plan time.  Only its own crashes are
-         contained (and counted distinctly from budget overruns);
-         asynchronous exceptions — Stack_overflow, Out_of_memory — are
-         kernel-level resource exhaustion and must propagate. *)
-      match
-        try Ok (Ephemeral.plan ?budget (fn v)) with
-        | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-        | e -> Error e
-      with
-      | Error _exn ->
+      match Ephemeral.plan ?budget (fn v) with
+      | exception e when extension_fault e ->
           incr d.eph_failures;
           incr h.hs.h_fails;
           fault ev h
-      | Ok plan ->
-          let r = Ephemeral.planned plan in
-          flow_enter flow;
-          handler_enter h;
-          Sim.Cpu.run d.cpu ~prio
-            ~cost:(Sim.Stime.add spawn r.Ephemeral.consumed)
-            (fun () ->
-              (if h.live then begin
-                 d.prio_override <- over;
-                 let a0 = Packet.Mbuf.total_allocated () in
-                 contain ev h (fun () ->
-                     let r = Ephemeral.commit plan in
-                     incr d.eph_commits;
-                     d.eph_actions := !(d.eph_actions) + r.Ephemeral.committed;
-                     let run_ns = Sim.Stime.to_ns r.Ephemeral.consumed in
-                     note_run d ev v h ~run_ns ~a0;
-                     if r.Ephemeral.terminated then begin
-                       incr d.eph_terminated;
-                       incr h.hs.h_terms
-                     end;
-                     if Observe.Trace.active d.trace then
-                       emit_span d
-                         (if r.Ephemeral.terminated then
-                            Observe.Trace.Terminated
-                              {
-                                event = ev.ename;
-                                hid = h.hid;
-                                label = h.label;
-                                committed = r.Ephemeral.committed;
-                                total = r.Ephemeral.total;
-                                duration_ns =
-                                  Sim.Stime.to_ns r.Ephemeral.consumed;
-                              }
-                          else
-                            Observe.Trace.Ephemeral_commit
-                              {
-                                event = ev.ename;
-                                hid = h.hid;
-                                label = h.label;
-                                committed = r.Ephemeral.committed;
-                                total = r.Ephemeral.total;
-                                duration_ns =
-                                  Sim.Stime.to_ns r.Ephemeral.consumed;
-                              }));
-                 d.prio_override <- None;
-                 quarantine_check ev h
-               end);
-              handler_leave d h;
-              flow_leave d flow))
+      | plan ->
+          let consumed = (Ephemeral.planned plan).Ephemeral.consumed in
+          schedule ev v h flow over
+            ~cost:(Sim.Stime.add spawn consumed)
+            ~run_ns:(Sim.Stime.to_ns consumed) (Some plan))
 
 (* The leaf a raise on [plan] reaches: a bare leaf directly, a switch
    tree by one walk over the payload's key values. *)
@@ -1411,9 +1405,7 @@ let raise_tree ?over ev v flow =
         if proven then incr i else incr j;
         let accepted =
           proven
-          || (try h.guard v with
-             | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-             | _ -> fault ev h; false)
+          || (try h.guard v with e when extension_fault e -> fault ev h; false)
         in
         if accepted then incr h.hs.h_hits else incr h.hs.h_misses;
         if (not proven) && Observe.Trace.active d.trace then
@@ -1443,56 +1435,32 @@ let raise_tree ?over ev v flow =
 
 (* --- replay ----------------------------------------------------------- *)
 
-let cache_invalidate_span d ename reason =
-  if Observe.Trace.active d.trace then
-    emit_span d (Observe.Trace.Cache_invalidate { event = ename; reason })
-
-(* Run a recorded hop's handlers directly: no demux, no guards (the
-   signature match stands in for them).  Invocation stats, run counters
-   and latency histograms are preserved; per-handler [Handler_run]
-   spans are not emitted — the single [Cache_hit] span at the root
-   carries the chain's hop and handler counts, which is the amortized
-   per-packet trace bookkeeping the fast path promises.  Runs
-   synchronously in the caller's interrupt context and returns the
-   hop's modelled handler cost, which the caller accounts. *)
-let run_hop ev v hids =
-  let d = ev.disp in
-  List.fold_left
-    (fun acc hid ->
-      match Hashtbl.find_opt ev.table hid with
-      | Some ({ kind = Plain { cost; dyncost; fn }; _ } as h) ->
-          incr d.invocations;
-          let a0 = Packet.Mbuf.total_allocated () in
-          contain ev h (fun () -> fn v);
-          let total =
-            match dyncost with
-            | None -> cost
-            | Some f -> Sim.Stime.add cost (f v)
-          in
-          note_run d ev v h ~run_ns:(Sim.Stime.to_ns total) ~a0;
-          quarantine_check ev h;
-          Sim.Stime.add acc total
-      | _ -> acc)
-    Sim.Stime.zero hids
-
-(* Dispatch a raise through the graph while a replay is in progress:
-   graph work must not see the replay flow (its demux is queued and runs
-   later), so clear it for the call and restore it after. *)
-let graph_escape d rp ev v =
-  d.flow <- No_flow;
-  raise_tree ev v No_flow;
-  d.flow <- Replaying rp
+(* Run a recorded hop's handlers inline through [invoke] — no demux, no
+   guards, the signature match stands in for them — and add their
+   modelled cost to the chain's.  A handler that left the table since
+   the hop was claimed is skipped, as graph delivery skips it. *)
+let rec run_hop ev v rp flow = function
+  | [] -> ()
+  | hid :: rest ->
+      (match Hashtbl.find ev.table hid with
+      | { kind = Plain { cost; dyncost; _ }; _ } as h ->
+          incr ev.disp.invocations;
+          let cost = plain_cost cost dyncost v in
+          rp.rp_cost <- Sim.Stime.add rp.rp_cost cost;
+          invoke ev v h flow None ~run_ns:(Sim.Stime.to_ns cost) None
+      | { kind = Eph _; _ } | (exception Not_found) -> ());
+      run_hop ev v rp flow rest
 
 (* The chain has diverged from the recording: drop the entry (once) and
    send this raise through graph dispatch. *)
 let replay_diverge d rp ev v =
   if rp.rp_live then begin
     rp.rp_live <- false;
-    rp.rp_drop ();
+    Sharded.Cache.remove rp.rp_entries rp.rp_sig;
     incr d.pc_invalidations;
     cache_invalidate_span d ev.ename "divergent-replay"
   end;
-  graph_escape d rp ev v
+  raise_tree ev v No_flow
 
 (* A nested raise while replaying: claim the next recorded hop if it
    matches this event and is still current, deferring its execution to
@@ -1503,7 +1471,7 @@ let replay_diverge d rp ev v =
    the entry and send this raise (and any later ones) through graph
    dispatch.  Deliveries already made stand — they were valid when
    made. *)
-let replay_step ev v rp =
+let replay_step ev v rp flow =
   let d = ev.disp in
   let pos = rp.rp_claim in
   if
@@ -1518,11 +1486,8 @@ let replay_step ev v rp =
       (fun () ->
         (* An earlier pending hop's handler may have churned the graph
            between claim and run: fall back for this raise if so. *)
-        if rp.rp_live && hop_valid hop then run_hop ev v hop.hop_hids
-        else begin
-          replay_diverge d rp ev v;
-          Sim.Stime.zero
-        end)
+        if rp.rp_live && hop_valid hop then run_hop ev v rp flow hop.hop_hids
+        else replay_diverge d rp ev v)
       rp.rp_pending
   end
   else replay_diverge d rp ev v
@@ -1557,37 +1522,22 @@ let replay_start ev v sg hops =
          { event = ev.ename; hops = Array.length hops; handlers })
   end;
   flight_note_raise d ev v;
-  let hop0 = hops.(0) in
   let rp =
     {
       rp_hops = hops;
+      rp_entries = ev.entries;
+      rp_sig = sg;
       rp_claim = 1;
       rp_cost = d.costs.index;
       rp_live = true;
       rp_pending = Queue.create ();
-      rp_drop = (fun () -> Sharded.Cache.remove ev.entries sg);
     }
   in
-  d.flow <- Replaying rp;
-  rp.rp_cost <- Sim.Stime.add rp.rp_cost (run_hop ev v hop0.hop_hids);
+  run_hop ev v rp (Replaying rp) hops.(0).hop_hids;
   while not (Queue.is_empty rp.rp_pending) do
-    let job = Queue.pop rp.rp_pending in
-    rp.rp_cost <- Sim.Stime.add rp.rp_cost (job ())
+    (Queue.pop rp.rp_pending) ()
   done;
-  d.flow <- No_flow;
   Sim.Cpu.charge d.cpu ~cost:rp.rp_cost
-
-let record_raise ev v sg =
-  let r =
-    {
-      rec_ename = ev.ename;
-      rec_commit = (fun hops -> Sharded.Cache.put ev.entries sg hops);
-      rec_hops = [];
-      rec_pending = 0;
-      rec_ok = true;
-    }
-  in
-  raise_tree ev v (Recording r)
 
 (* One raise, flow-cache aware.  [raises]/[ev_raises] already counted by
    the caller.  [prio] (or a sticky override left by an overridden
@@ -1595,34 +1545,40 @@ let record_raise ev v sg =
    raises bypass the flow cache entirely — replay charges its cost
    synchronously in the raiser's context, which is exactly what the
    demoted path must avoid, and a demoted walk must not record either
-   (its chain would replay at interrupt priority later). *)
+   (its chain would replay at interrupt priority later).  A miss and a
+   stale entry both record the chain afresh. *)
 let dispatch ?prio ev v =
   let d = ev.disp in
   let over = match prio with Some _ -> prio | None -> d.prio_override in
   match d.flow with
-  | Replaying rp -> replay_step ev v rp
+  | Replaying rp as flow -> replay_step ev v rp flow
   | Recording _ as flow -> raise_tree ?over ev v flow
   | No_flow -> (
-      if over <> None || not (d.fcache && ev.mode = Interrupt) then
-        raise_tree ?over ev v No_flow
-      else
-        match ev.sigfn with
-        | None -> raise_tree ev v No_flow
-        | Some sigfn -> (
-            match sigfn v with
-            | None -> raise_tree ev v No_flow (* unsignable: cache bypass *)
-            | Some sg -> (
-                match Sharded.Cache.find_opt ev.entries sg with
-                | Some hops when entry_valid hops -> replay_start ev v sg hops
-                | Some _ ->
+      match ev.sigfn with
+      | Some sigfn when over = None && d.fcache && ev.mode = Interrupt -> (
+          match sigfn v with
+          | None -> raise_tree ev v No_flow (* unsignable: cache bypass *)
+          | Some sg -> (
+              match Sharded.Cache.find_opt ev.entries sg with
+              | Some hops when entry_valid hops -> replay_start ev v sg hops
+              | found ->
+                  if Option.is_some found then begin
                     Sharded.Cache.remove ev.entries sg;
                     incr d.pc_invalidations;
-                    cache_invalidate_span d ev.ename "stale-generation";
-                    incr d.pc_misses;
-                    record_raise ev v sg
-                | None ->
-                    incr d.pc_misses;
-                    record_raise ev v sg)))
+                    cache_invalidate_span d ev.ename "stale-generation"
+                  end;
+                  incr d.pc_misses;
+                  raise_tree ev v
+                    (Recording
+                       {
+                         rec_ename = ev.ename;
+                         rec_entries = ev.entries;
+                         rec_sig = sg;
+                         rec_hops = [];
+                         rec_pending = 0;
+                         rec_ok = true;
+                       })))
+      | _ -> raise_tree ?over ev v No_flow)
 
 let raise ?prio ev v =
   let d = ev.disp in

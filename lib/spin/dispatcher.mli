@@ -112,7 +112,12 @@ val set_keyvfn : 'a event -> dims:int -> ('a -> int array -> unit) -> unit
     a miss, the delivery walks the graph normally while recording the
     chain of (event, accepted handlers) hops; on a hit the recorded
     chain replays directly — one signature lookup, zero intermediate
-    demux, guards replaced by the signature match.  Every event carries
+    demux, guards replaced by the signature match.  Replay runs each
+    recorded handler inline, synchronously in the raiser's context,
+    through the same handler body graph delivery uses: the same fault
+    containment, run ledger and quarantine check, but one [Cache_hit]
+    span for the chain instead of a span per handler.  The chain's cost
+    is charged once, as a single CPU reservation.  Every event carries
     a generation counter bumped on install/uninstall/{!set_mode}/
     {!set_keyvfn}/{!touch}; a hit validates every hop's generation in
     O(hops), and a stale or divergent chain falls back to graph
@@ -123,8 +128,6 @@ val set_flow_cache : t -> bool -> unit
 (** Enable or disable flow-path caching for root raises on this
     dispatcher.  Existing entries are retained but ignored while
     disabled (generation checks keep them sound if re-enabled). *)
-
-val flow_cache_enabled : t -> bool
 
 val set_sigfn : 'a event -> ('a -> string option) -> unit
 (** Declare the event's flow-signature extractor, making it a caching

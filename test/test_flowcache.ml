@@ -184,6 +184,72 @@ let churn_during_replay_diverges_safely () =
   send s 0;
   Alcotest.(check int) "re-records and hits again" 3 (D.path_cache_hits s.d)
 
+(* ---- replay runs the same handler body as graph delivery ------------- *)
+
+(* A handler that throws on a replayed run is contained exactly as on
+   graph delivery: counted as a fault and uninstalled.  Its uninstall
+   moves the event's generation, so the next packet finds the entry
+   stale and records the chain afresh. *)
+let replayed_fault_uninstalls () =
+  let s = mk_side ~flowcache:true in
+  let runs = ref 0 in
+  let (_ : unit -> unit) =
+    D.install s.mid ~cacheable:true ~label:"thrower" ~cost:(us 1) (fun _ ->
+        incr runs;
+        if !runs = 3 then failwith "boom")
+  in
+  send s 0;
+  send s 0;
+  send s 0;
+  Alcotest.(check int) "third run was a replay" 2 (D.path_cache_hits s.d);
+  Alcotest.(check int) "one fault" 1 (D.faults s.d);
+  Alcotest.(check int) "thrower uninstalled" 0 (D.handler_count s.mid);
+  send s 0;
+  Alcotest.(check int) "stale entry invalidated" 1
+    (D.path_cache_invalidations s.d);
+  Alcotest.(check int) "and re-recorded" 2 (D.path_cache_misses s.d);
+  Alcotest.(check int) "no further runs" 3 !runs
+
+(* The quarantine check follows every run, replayed ones included: 2 us
+   per run against 5 us per window crosses on the third run, the second
+   replay. *)
+let replayed_run_quarantined () =
+  let s = mk_side ~flowcache:true in
+  D.set_quarantine s.mid
+    (Some
+       (Spin.Verifier.quarantine ~window_ns:1_000_000_000 ~max_cpu_ns:5_000 ()));
+  let runs = ref 0 in
+  let (_ : unit -> unit) =
+    D.install s.mid ~cacheable:true ~label:"hog" ~cost:(us 2) (fun _ ->
+        incr runs)
+  in
+  send s 0;
+  send s 0;
+  Alcotest.(check int) "two runs stay within the window" 0 (D.quarantines s.d);
+  send s 0;
+  Alcotest.(check int) "third run was a replay" 2 (D.path_cache_hits s.d);
+  Alcotest.(check int) "evicted on it" 1 (D.quarantines s.d);
+  Alcotest.(check int) "hog gone" 0 (D.handler_count s.mid);
+  send s 0;
+  Alcotest.(check int) "no further runs" 3 !runs
+
+(* A warm hit emits one span for the whole chain: no per-handler
+   [Handler_run], no demux or guard spans. *)
+let warm_hit_emits_one_span () =
+  let s = mk_side ~flowcache:true in
+  let (_ : unit -> unit) = install_logger s s.mid 1 in
+  let ring = Observe.Trace.Ring.create ~capacity:64 () in
+  Observe.Trace.set_sink (D.trace s.d) (Observe.Trace.Ring ring);
+  send s 0;
+  send s 0;
+  Observe.Trace.Ring.clear ring;
+  send s 0;
+  Alcotest.(check (list string))
+    "exactly one cache_hit span" [ "cache_hit" ]
+    (List.map
+       (fun sp -> Observe.Trace.kind sp.Observe.Trace.event)
+       (Observe.Trace.Ring.to_list ring))
+
 (* ---- qcheck: cached == uncached under random churn ------------------- *)
 
 (* Random interleavings of install / uninstall / touch / raise applied
@@ -229,7 +295,21 @@ let equivalence_under_churn =
       let uc = ref [] and uu = ref [] in
       List.iteri (fun tag op -> apply cached uc tag op) ops;
       List.iteri (fun tag op -> apply uncached uu tag op) ops;
-      delivered cached = delivered uncached)
+      (* the run ledger too: replay charges each handler once, as graph
+         delivery does *)
+      let ledger s =
+        List.concat_map
+          (fun ei ->
+            List.map
+              (fun hi ->
+                ( (ei.D.ei_name, hi.D.hi_label),
+                  (hi.D.hi_runs, hi.D.hi_cpu_ns) ))
+              ei.D.ei_handlers)
+          (D.dump s.d)
+      in
+      delivered cached = delivered uncached
+      && ledger cached = ledger uncached
+      && D.invocations cached.d = D.invocations uncached.d)
 
 (* ---- full stack ------------------------------------------------------ *)
 
@@ -477,6 +557,9 @@ let suite =
           churn_during_recording_discards_entry;
         tc "churn during replay diverges safely"
           churn_during_replay_diverges_safely;
+        tc "replayed fault uninstalls the handler" replayed_fault_uninstalls;
+        tc "replayed run is quarantined" replayed_run_quarantined;
+        tc "warm hit emits one span" warm_hit_emits_one_span;
         prop equivalence_under_churn;
       ] );
     ( "flowcache.stack",
