@@ -2,8 +2,9 @@
    throughput table, Figure 7, the section 3.3 microbenchmarks, the
    ablations, the motivation experiments, the size sweep, HTTP GET
    latency, the server farm and its scale probe, unrounded, one seed of
-   each chaos scenario, then per-event dispatcher counters from two
-   fixed Figure-5 echo runs.
+   each chaos scenario, the overload and livelock experiments, the
+   single-domain [Par.Node] oracle, then per-event dispatcher counters
+   from two fixed Figure-5 echo runs.
    The simulator is deterministic, so [dune runtest] can diff this
    against [golden.expected]; even a 1 ns change to one [Netsim.Costs]
    constant shows.  Figure 6 is left out: it alone takes seconds.
@@ -170,6 +171,39 @@ let chaos () =
   Format.printf "chaos %a@." Experiments.Chaos.pp_tcp_outcome
     (Experiments.Chaos.tcp_transfer ~seed ())
 
+(* The device receive paths the figures above do not reach: the
+   overload victim's polled admission drain, the livelock host's
+   thread-priority work, and the coalesced bursts of the RSS oracle. *)
+let overload () =
+  let p = Experiments.Overload.run () in
+  row "overload"
+    [
+      ("offered_pps", int p.offered_pps);
+      ("unmitigated", fl p.unmitigated_goodput);
+      ("mitigated", fl p.mitigated_goodput);
+    ]
+
+let livelock () =
+  List.iter
+    (fun (p : Experiments.Livelock.point) ->
+      row
+        ("livelock " ^ int p.offered_pps)
+        [
+          ("interrupt_progress", fl p.interrupt_progress);
+          ("thread_progress", fl p.thread_progress);
+        ])
+    (Experiments.Livelock.run ())
+
+let parallel () =
+  let plan = Par.Rss.make ~seed:42 ~flows:256 ~pkts_per_flow:40 () in
+  let s = Par.Node.run ~domains:1 plan in
+  row "par oracle"
+    (List.map (fun (k, v) -> (k, int v)) (Par.Node.equiv_counters s)
+    @ [
+        ("busy_max_us", fl s.busy_max_us);
+        ("datagrams_per_s", fl s.datagrams_per_s);
+      ])
+
 (* A Figure-5 echo (Ethernet, interrupt delivery), then every dispatcher
    counter per host and the nonzero raise counters of each event.  The
    plain run is Figure 5's own configuration; the mixed run adds an
@@ -260,5 +294,8 @@ let () =
   http ();
   farm ();
   chaos ();
+  overload ();
+  livelock ();
+  parallel ();
   dispatch_counters ~tag:"fig5" ~mixed:false;
   dispatch_counters ~tag:"mixed" ~mixed:true
