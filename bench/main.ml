@@ -616,8 +616,8 @@ let steady_pair ~trace ~flowcache =
   udp_pair ~flowcache ~setup ~warm:3 ()
 
 (* Batched receive: 32 prebuilt valid frames injected at the server
-   device as one coalesced interrupt per op ([Dev.deliver_batch] →
-   [Dispatcher.raise_batch]), flow cache warm.  The receive path neither
+   device as one coalesced interrupt per op ([Dev.deliver_batch], then
+   one [Dispatcher.raise] per frame), flow cache warm.  The receive path neither
    mutates nor frees the frames (and the server handler is a no-op), so
    the same chains are redelivered every op. *)
 let rx_batch () =
@@ -686,6 +686,7 @@ let flowcache ~max_domains:_ =
           (minor_words ~n:2_000 (round_trip (steady_pair ~trace ~flowcache))))
       sides
   in
+  let batch_words = minor_words ~n:400 (rx_batch ()) in
   let ratio a b = find subjects a /. find subjects b in
   let speedup = ratio uncached cached in
   let fewer_words setting uncached cached =
@@ -696,6 +697,8 @@ let flowcache ~max_domains:_ =
   in
   ( subjects @ words
     @ [
+        value ~unit:"words_per_op" "udp rx batch of 32: minor words"
+          batch_words;
         value ~unit:"ratio" "path-cached speedup" speedup;
         value ~unit:"ratio" "path-cached speedup (untraced)"
           (ratio uncached_off cached_off);
@@ -704,6 +707,8 @@ let flowcache ~max_domains:_ =
       gate "uncached / path-cached round trip >= 1.5" ( >= ) speedup 1.5;
       fewer_words "ring trace on" uncached cached;
       fewer_words "ring trace off" uncached_off cached_off;
+      gate "udp rx batch of 32: minor words per op <= 7726" ( <= ) batch_words
+        7726.;
     ] )
 
 (* ---- observe: what observability costs the fast path ------------------ *)

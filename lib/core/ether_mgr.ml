@@ -29,22 +29,15 @@ let create graph dev =
     }
   in
   (* Driver top half: the only code running directly off the device
-     interrupt.  It immediately raises the protocol event. *)
-  Netsim.Dev.set_rx dev (fun pkt ->
-      Spin.Dispatcher.raise (Graph.recv_event node) (Pctx.make dev pkt));
-  (* Coalesced receive: one batched raise for frames delivered in one
-     interrupt, amortizing the per-raise accounting. *)
-  Netsim.Dev.set_rx_batch dev (fun pkts ->
-      Spin.Dispatcher.raise_batch (Graph.recv_event node)
-        (List.map (Pctx.make dev) pkts));
-  (* Polled receive (admission control): frames past the interrupt
-     budget enter the graph at thread priority, and the override sticks
-     down the whole walk — this is what keeps the livelock mitigation
-     from re-escalating at the first nested interrupt-mode event. *)
-  Netsim.Dev.set_rx_deferred dev (fun pkts ->
-      Spin.Dispatcher.raise_batch ~prio:Sim.Cpu.Thread
-        (Graph.recv_event node)
-        (List.map (Pctx.make dev) pkts));
+     interrupt.  It immediately raises the protocol event, once per
+     frame.  A frame the admission poller drained (receive-livelock
+     mitigation) enters the graph at thread priority, and the override
+     sticks down the whole walk — this is what keeps the mitigation from
+     re-escalating at the first nested interrupt-mode event. *)
+  Netsim.Dev.set_rx dev (fun ~polled pkt ->
+      Spin.Dispatcher.raise
+        ?prio:(if polled then Some Sim.Cpu.Thread else None)
+        (Graph.recv_event node) (Pctx.make dev pkt));
   t
 
 let dev t = t.dev

@@ -149,8 +149,14 @@ let blast_vs_tcp ?(loss = 0.02) ?(bytes = 500_000) () =
     let a = Plexus.Stack.build ea.Netsim.Network.host in
     let b = Plexus.Stack.build eb.Netsim.Network.host in
     Plexus.Stack.prime_arp a b;
-    Netsim.Dev.set_loss ea.Netsim.Network.dev loss;
-    Netsim.Dev.set_loss eb.Netsim.Network.dev loss;
+    (* Bernoulli loss in both directions, drawn from the engine's own
+       stream *)
+    List.iter
+      (fun (e : Netsim.Network.endpoint) ->
+        let plan = Netsim.Faults.create ~rng:(Sim.Engine.rng engine) () in
+        Netsim.Faults.set_loss plan (Netsim.Faults.Bernoulli loss);
+        Netsim.Dev.set_faults e.dev plan)
+      [ ea; eb ];
     (engine, a, b)
   in
   let data = String.init bytes (fun i -> Char.chr (i mod 251)) in

@@ -4,8 +4,10 @@
    the hardware demands it, like the Fore TCA-100), serializes frames
    onto the wire at the link's bit rate, and delivers to the peer device
    after propagation.  Reception costs an interrupt at interrupt priority
-   on the receiving CPU, after which the registered handler — the bottom
-   of the protocol graph — runs.
+   on the receiving CPU, after which the registered upcall — the bottom
+   of the protocol graph — runs.  Every way a frame leaves the receive
+   ring (an admitted frame's interrupt, a coalesced burst, a poller
+   batch) goes through one service body, [service], to one upcall.
 
    Two robustness layers live here:
 
@@ -14,10 +16,9 @@
      (Bernoulli or Gilbert–Elliott burst loss, link-down windows),
      corrupt (one byte XORed in flight, so checksum verification up the
      stack is exercised for real), duplicate, or delay past later
-     frames.  The legacy [set_loss] knob is kept as the plain Bernoulli
-     fast path.  Every injected drop is counted in [wire_drops] —
-     deliberately separate from [tx_drops], which counts only
-     transmit-queue overflow.
+     frames.  The plan is the only loss model.  Every injected drop is
+     counted in [wire_drops] — deliberately separate from [tx_drops],
+     which counts only transmit-queue overflow.
 
    - Overload protection.  With [set_admission], receive interrupts are
      budgeted per window: frames beyond the budget are queued (still
@@ -48,7 +49,6 @@ type admission = {
   budget : int;
   window : Sim.Stime.t;
   defer_limit : int;
-  poll_batch : int;
   mutable window_start : Sim.Stime.t;
   mutable served : int;
   mutable forced_defer : bool; (* ring pool above its high watermark *)
@@ -66,15 +66,10 @@ type t = {
   mutable wire_busy_until : Sim.Stime.t ref;
       (* shared with the peer on half-duplex media *)
   mutable txq : int;
-  mutable rx_handler : (Mbuf.ro Mbuf.t -> unit) option;
-  mutable rx_batch : (Mbuf.ro Mbuf.t list -> unit) option;
-      (* coalesced receive: one upcall for a burst of frames *)
-  mutable rx_deferred_handler : (Mbuf.ro Mbuf.t list -> unit) option;
-      (* polled receive: bursts drained past the interrupt budget *)
+  mutable rx : (polled:bool -> Mbuf.ro Mbuf.t -> unit) option;
   mutable rx_pool : Pool.t option;
       (* receive ring: buffers held from wire arrival to interrupt
          service; exhaustion drops frames like a full NIC ring *)
-  mutable loss_prob : float; (* fault injection: drop on the wire *)
   mutable faults : Faults.t option;
   mutable admission : admission option;
   mutable otrace : Observe.Trace.t option;
@@ -92,11 +87,8 @@ let create engine ~cpu ~name ~mac params =
     peer = None;
     wire_busy_until = ref Sim.Stime.zero;
     txq = 0;
-    rx_handler = None;
-    rx_batch = None;
-    rx_deferred_handler = None;
+    rx = None;
     rx_pool = None;
-    loss_prob = 0.;
     faults = None;
     admission = None;
     otrace = None;
@@ -131,20 +123,10 @@ let connect a b =
 
 (* Install the receive path — only the kernel (trusted driver top half)
    does this; applications go through protocol managers. *)
-let set_rx t h = t.rx_handler <- Some h
-let set_rx_batch t h = t.rx_batch <- Some h
-let set_rx_deferred t h = t.rx_deferred_handler <- Some h
+let set_rx t h = t.rx <- Some h
 
 let set_rx_pool t pool = t.rx_pool <- Some pool
 let rx_pool t = t.rx_pool
-
-(* Fault injection: drop outgoing frames on the wire with the given
-   probability (deterministic via the engine's random stream).  The full
-   closed interval is accepted: [set_loss t 1.0] is a blackout, which
-   the ARP/TCP give-up paths need to be testable at all. *)
-let set_loss t p =
-  if p < 0. || p > 1. then invalid_arg "Dev.set_loss";
-  t.loss_prob <- p
 
 let set_faults t plan = t.faults <- Some plan
 let faults t = t.faults
@@ -189,22 +171,16 @@ let flight_queue_wait peer pkt =
   | _ -> ()
 
 let set_admission ?(budget = 8) ?(window = Sim.Stime.ms 1) ?(defer_limit = 256)
-    ?poll_batch t =
+    t =
   if budget <= 0 then invalid_arg "Dev.set_admission: budget";
   if defer_limit <= 0 then invalid_arg "Dev.set_admission: defer_limit";
   if not (Sim.Stime.is_positive window) then
     invalid_arg "Dev.set_admission: window";
-  let poll_batch =
-    match poll_batch with
-    | Some n -> if n <= 0 then invalid_arg "Dev.set_admission: poll_batch" else n
-    | None -> budget
-  in
   let ac =
     {
       budget;
       window;
       defer_limit;
-      poll_batch;
       window_start = Sim.Engine.now t.engine;
       served = 0;
       forced_defer = false;
@@ -219,8 +195,6 @@ let set_admission ?(budget = 8) ?(window = Sim.Stime.ms 1) ?(defer_limit = 256)
   | Some pool -> Pool.set_pressure pool (fun high -> ac.forced_defer <- high)
   | None -> ());
   t.admission <- Some ac
-
-let clear_admission t = t.admission <- None
 
 let admission_backlog t =
   match t.admission with None -> 0 | Some ac -> Queue.length ac.q
@@ -269,55 +243,69 @@ let register t reg =
   g "faults.delays" (fun () ->
       match t.faults with Some p -> Faults.delays p | None -> 0)
 
-(* Interrupt service for one admitted frame: fixed driver cost plus PIO
-   read for devices that make the CPU pull bytes off the adapter. *)
-let interrupt_service peer len pkt =
-  let cost = Sim.Stime.add peer.params.Costs.rx_fixed (pio_cost peer len) in
-  Sim.Cpu.run peer.cpu ~prio:Sim.Cpu.Interrupt ~cost (fun () ->
-      (match peer.rx_pool with
-      | Some pool -> Pool.release pool
-      | None -> ());
-      match peer.rx_handler with
-      | None -> peer.counters.rx_drops <- peer.counters.rx_drops + 1
-      | Some h ->
-          peer.counters.rx_packets <- peer.counters.rx_packets + 1;
-          peer.counters.rx_bytes <- peer.counters.rx_bytes + len;
-          h pkt)
+let add_length acc pkt = acc + Mbuf.length pkt
 
-(* The poller: drain the deferred queue in batches at thread priority.
-   One fixed charge per batch (cheaper per frame than interrupts —
-   that's the point of polling), and between batches the CPU's FIFO lets
-   application work at the same priority interleave, so the drain cannot
-   itself become a livelock. *)
-let rec drain_deferred peer ac =
-  let n = min ac.poll_batch (Queue.length ac.q) in
-  if n = 0 then ac.draining <- false
+let rec upcall h ~polled = function
+  | [] -> ()
+  | pkt :: rest ->
+      h ~polled pkt;
+      upcall h ~polled rest
+
+(* The receive service, one body for every way frames leave the ring:
+   an admitted frame or a coalesced burst serviced at interrupt
+   priority, a poller batch ([polled]) at thread priority.  When the
+   driver work completes the ring slots go back and each frame goes to
+   the upcall, told whether it was polled — or, with no upcall
+   installed, is counted in [rx_drops] and freed.  The frames are
+   [pkt :: rest], split so that a lone frame needs no list. *)
+let service peer ~polled pkt rest =
+  let n = 1 + List.length rest in
+  (match peer.rx_pool with Some pool -> Pool.release_n pool n | None -> ());
+  if polled then begin
+    flight_queue_wait peer pkt;
+    List.iter (flight_queue_wait peer) rest
+  end;
+  match peer.rx with
+  | None ->
+      peer.counters.rx_drops <- peer.counters.rx_drops + n;
+      Mbuf.free pkt;
+      List.iter Mbuf.free rest
+  | Some h ->
+      peer.counters.rx_packets <- peer.counters.rx_packets + n;
+      peer.counters.rx_bytes <-
+        List.fold_left add_length
+          (peer.counters.rx_bytes + Mbuf.length pkt)
+          rest;
+      h ~polled pkt;
+      upcall h ~polled rest
+
+(* What the service charges: one fixed driver cost for the frames,
+   plus PIO for their bytes on devices that make the CPU pull them off
+   the adapter. *)
+let service_cost peer pkt rest =
+  let bytes = List.fold_left add_length (Mbuf.length pkt) rest in
+  Sim.Stime.add peer.params.Costs.rx_fixed (pio_cost peer bytes)
+
+let interrupt peer pkt rest =
+  Sim.Cpu.run peer.cpu ~prio:Sim.Cpu.Interrupt
+    ~cost:(service_cost peer pkt rest) (fun () ->
+      service peer ~polled:false pkt rest)
+
+(* The poller: drain the deferred queue in batches of up to [budget]
+   frames at thread priority.  One fixed charge per batch (cheaper per
+   frame than interrupts — that's the point of polling), and between
+   batches the CPU's FIFO lets application work at the same priority
+   interleave, so the drain cannot itself become a livelock. *)
+let rec drain peer ac =
+  if Queue.is_empty ac.q then ac.draining <- false
   else begin
-    let pkts = List.init n (fun _ -> Queue.pop ac.q) in
-    let bytes = List.fold_left (fun acc p -> acc + Mbuf.length p) 0 pkts in
-    let cost = Sim.Stime.add peer.params.Costs.rx_fixed (pio_cost peer bytes) in
-    Sim.Cpu.run peer.cpu ~prio:Sim.Cpu.Thread ~cost (fun () ->
-        (match peer.rx_pool with
-        | Some pool -> Pool.release_n pool n
-        | None -> ());
-        List.iter (flight_queue_wait peer) pkts;
-        let deliver upcall =
-          peer.counters.rx_packets <- peer.counters.rx_packets + n;
-          peer.counters.rx_bytes <- peer.counters.rx_bytes + bytes;
-          upcall ()
-        in
-        (match peer.rx_deferred_handler with
-        | Some h -> deliver (fun () -> h pkts)
-        | None -> (
-            match peer.rx_batch with
-            | Some h -> deliver (fun () -> h pkts)
-            | None -> (
-                match peer.rx_handler with
-                | Some h -> deliver (fun () -> List.iter h pkts)
-                | None ->
-                    peer.counters.rx_drops <- peer.counters.rx_drops + n;
-                    List.iter Mbuf.free pkts)));
-        drain_deferred peer ac)
+    let pkt = Queue.pop ac.q in
+    let more = min (ac.budget - 1) (Queue.length ac.q) in
+    let rest = List.init more (fun _ -> Queue.pop ac.q) in
+    Sim.Cpu.run peer.cpu ~prio:Sim.Cpu.Thread
+      ~cost:(service_cost peer pkt rest) (fun () ->
+        service peer ~polled:true pkt rest;
+        drain peer ac)
   end
 
 (* Roll the admission window lazily and decide whether this frame may
@@ -336,7 +324,6 @@ let admitted ac now =
   else false
 
 let deliver_to peer (pkt : Mbuf.ro Mbuf.t) =
-  let len = Mbuf.length pkt in
   (* A frame occupies a receive-ring slot from wire arrival until the
      interrupt is serviced; with a bounded pool, a burst that outruns the
      CPU drops frames at the ring.  The chain itself crosses the wire
@@ -369,65 +356,39 @@ let deliver_to peer (pkt : Mbuf.ro Mbuf.t) =
           peer.counters.rx_deferred <- peer.counters.rx_deferred + 1;
           if not ac.draining then begin
             ac.draining <- true;
-            drain_deferred peer ac
+            drain peer ac
           end
         end
-    | _ -> interrupt_service peer len pkt
+    | _ -> interrupt peer pkt []
   end
 
 (* Inject a burst of frames that arrived back to back as one coalesced
-   receive interrupt: one slot reservation ([Pool.reserve_n]), one fixed
-   interrupt charge for the whole burst (interrupt coalescing; per-byte
-   PIO still scales with the payload), and one upcall — the batch
-   handler when one is installed, the per-frame handler otherwise.
-   Frames beyond the ring budget drop exactly as in [deliver_to].
-   Admission control does not apply: a coalesced burst is already the
-   batched, bounded-interrupt service model. *)
+   receive interrupt: one slot reservation ([Pool.reserve_n]) and one
+   [interrupt] for the whole burst (interrupt coalescing; per-byte PIO
+   still scales with the payload).  Frames beyond the ring budget drop
+   exactly as in [deliver_to].  Admission control does not apply: a
+   coalesced burst is already the batched, bounded-interrupt service
+   model. *)
 let deliver_batch peer pkts =
-  match pkts with
+  let n = List.length pkts in
+  let granted =
+    match peer.rx_pool with None -> n | Some pool -> Pool.reserve_n pool n
+  in
+  let kept =
+    if granted = n then pkts
+    else begin
+      let dropped = List.filteri (fun i _ -> i >= granted) pkts in
+      peer.counters.rx_drops <- peer.counters.rx_drops + (n - granted);
+      if tracing peer then drop_span peer ~reason:"rx_ring_full";
+      List.iter Mbuf.free dropped;
+      List.filteri (fun i _ -> i < granted) pkts
+    end
+  in
+  match kept with
   | [] -> ()
-  | pkts ->
-      let n = List.length pkts in
-      let granted =
-        match peer.rx_pool with
-        | None -> n
-        | Some pool -> Pool.reserve_n pool n
-      in
-      let rec split i = function
-        | pkt :: rest when i < granted ->
-            let kept, dropped = split (i + 1) rest in
-            (pkt :: kept, dropped)
-        | rest -> ([], rest)
-      in
-      let kept, dropped = split 0 pkts in
-      if dropped <> [] then begin
-        peer.counters.rx_drops <- peer.counters.rx_drops + List.length dropped;
-        if tracing peer then drop_span peer ~reason:"rx_ring_full";
-        List.iter Mbuf.free dropped
-      end;
-      if kept <> [] then begin
-        List.iter (flight_ingress peer) kept;
-        let bytes = List.fold_left (fun acc p -> acc + Mbuf.length p) 0 kept in
-        let cost =
-          Sim.Stime.add peer.params.Costs.rx_fixed (pio_cost peer bytes)
-        in
-        Sim.Cpu.run peer.cpu ~prio:Sim.Cpu.Interrupt ~cost (fun () ->
-            (match peer.rx_pool with
-            | Some pool -> Pool.release_n pool granted
-            | None -> ());
-            let deliver upcall =
-              peer.counters.rx_packets <- peer.counters.rx_packets + granted;
-              peer.counters.rx_bytes <- peer.counters.rx_bytes + bytes;
-              upcall ()
-            in
-            match peer.rx_batch with
-            | Some h -> deliver (fun () -> h kept)
-            | None -> (
-                match peer.rx_handler with
-                | Some h -> deliver (fun () -> List.iter h kept)
-                | None ->
-                    peer.counters.rx_drops <- peer.counters.rx_drops + granted))
-      end
+  | pkt :: rest ->
+      List.iter (flight_ingress peer) kept;
+      interrupt peer pkt rest
 
 (* Apply a fault-plan verdict to a frame leaving the wire.  The plan
    only decides; ownership is handled here: dropped frames are freed,
@@ -485,6 +446,7 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
   (* Driver send cost (+ PIO write). *)
   let cost = Sim.Stime.add t.params.Costs.tx_fixed (pio_cost t len) in
   Sim.Cpu.run t.cpu ~prio ~cost (fun () ->
+      let len = Mbuf.length frame in
       if t.txq >= t.params.Costs.txq_limit then begin
         t.counters.tx_drops <- t.counters.tx_drops + 1;
         if tracing t then drop_span t ~reason:"txq_full";
@@ -505,31 +467,16 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
         ignore
           (Sim.Engine.schedule t.engine ~at:done_at (fun () ->
                t.txq <- t.txq - 1;
-               match t.peer with
-               | None -> Mbuf.free frame
-               | Some peer ->
-                   if
-                     t.loss_prob > 0.
-                     && (t.loss_prob >= 1.
-                        || Sim.Rng.float (Sim.Engine.rng t.engine) 1.0
-                           < t.loss_prob)
-                   then begin
-                     (* Wire loss is fault injection, not queue overflow:
-                        counted apart from [tx_drops]. *)
-                     t.counters.wire_drops <- t.counters.wire_drops + 1;
-                     if tracing t then fault_span t ~fault:"loss" ~detail:"";
-                     Mbuf.free frame
-                   end
-                   else
-                     match t.faults with
-                     | None ->
-                         ignore
-                           (Sim.Engine.schedule_in t.engine
-                              ~delay:t.params.Costs.prop_delay (fun () ->
-                                deliver_to peer frame))
-                     | Some plan ->
-                         apply_faults t peer plan frame ~len
-                           ~now:(Sim.Engine.now t.engine)))
+               match (t.peer, t.faults) with
+               | None, _ -> Mbuf.free frame
+               | Some peer, None ->
+                   ignore
+                     (Sim.Engine.schedule_in t.engine
+                        ~delay:t.params.Costs.prop_delay (fun () ->
+                          deliver_to peer frame))
+               | Some peer, Some plan ->
+                   apply_faults t peer plan frame ~len:(Mbuf.length frame)
+                     ~now:(Sim.Engine.now t.engine)))
       end)
 
 (* Raw wire occupancy for a packet of [len] bytes — used by experiments to

@@ -4,7 +4,9 @@
     devices like the Fore TCA-100), serializes frames on the wire at the
     device bit rate, and delivers to the peer after propagation; reception
     charges an interrupt on the peer CPU and invokes the installed receive
-    handler — the bottom of the Plexus protocol graph.
+    upcall — the bottom of the Plexus protocol graph.  Admitted frames,
+    coalesced bursts and polled batches all reach that one upcall through
+    one service body.
 
     Devices also host the adversarial machinery: a per-link fault plan
     ({!set_faults}) applied as frames leave the wire, and interrupt
@@ -23,9 +25,9 @@ type counters = {
   mutable rx_drops : int;
       (** receive-side drops: ring overflow, no handler, admission shed *)
   mutable wire_drops : int;
-      (** frames lost on the wire by fault injection ([set_loss] or a
-          fault plan) — kept apart from [tx_drops] so queue overflow and
-          injected loss can't be conflated *)
+      (** frames lost on the wire by the fault plan ({!set_faults}) —
+          kept apart from [tx_drops] so queue overflow and injected loss
+          can't be conflated *)
   mutable rx_deferred : int;
       (** frames routed past the interrupt budget to the polled path *)
   mutable rx_shed : int;
@@ -40,28 +42,22 @@ val create :
 val connect : t -> t -> unit
 (** Wire two devices together (both directions). *)
 
-val set_rx : t -> (Mbuf.ro Mbuf.t -> unit) -> unit
-(** Install the driver's receive upcall (trusted kernel code only). *)
-
-val set_rx_batch : t -> (Mbuf.ro Mbuf.t list -> unit) -> unit
-(** Install the coalesced receive upcall, invoked by {!deliver_batch}
-    with a whole burst at once.  Devices without one fall back to the
-    per-frame {!set_rx} handler for each frame of the burst. *)
-
-val set_rx_deferred : t -> (Mbuf.ro Mbuf.t list -> unit) -> unit
-(** Install the polled receive upcall: batches drained from the deferred
-    queue at {e thread} priority when admission control is active.
-    Without one, the poller falls back to the batch handler, then the
-    per-frame handler (whose own downstream work may then re-escalate to
-    interrupt priority — install this to keep the whole path demoted). *)
+val set_rx : t -> (polled:bool -> Mbuf.ro Mbuf.t -> unit) -> unit
+(** Install the driver's receive upcall (trusted kernel code only),
+    called once per received frame.  [polled] is true for frames the
+    admission poller drained at {e thread} priority and false for frames
+    serviced at interrupt priority, so the upcall can keep a polled
+    frame's whole downstream walk demoted.  A frame that arrives with no
+    upcall installed is counted in [rx_drops] and freed. *)
 
 val deliver_batch : t -> Mbuf.ro Mbuf.t list -> unit
 (** Inject a burst of frames arriving back to back at this device, as
     one coalesced receive interrupt: one ring-slot reservation
-    ({!Pool.reserve_n}), one fixed interrupt charge for the burst (PIO
-    still per byte), one upcall.  Frames beyond the ring budget drop as
-    in normal delivery.  Admission control does not apply — a coalesced
-    burst is already the batched service model. *)
+    ({!Pool.reserve_n}) and one fixed interrupt charge for the burst
+    (PIO still per byte), then the upcall for each frame in order.
+    Frames beyond the ring budget drop as in normal delivery.  Admission
+    control does not apply — a coalesced burst is already the batched
+    service model. *)
 
 val set_rx_pool : t -> Pool.t -> unit
 (** Bound the receive ring: frames hold a pool {e slot} from wire arrival
@@ -73,15 +69,9 @@ val set_rx_pool : t -> Pool.t -> unit
 
 val rx_pool : t -> Pool.t option
 
-val set_loss : t -> float -> unit
-(** Fault injection: drop transmitted frames on the wire with the given
-    probability, counted in [wire_drops].  The closed interval [0, 1] is
-    accepted — [1.0] is a blackout.  @raise Invalid_argument outside
-    [0, 1]. *)
-
 val set_faults : t -> Faults.t -> unit
-(** Attach a fault plan, applied to every frame as it leaves the wire
-    (after the legacy {!set_loss} Bernoulli check).  Drops count in
+(** Attach a fault plan, applied to every frame as it leaves the wire;
+    it is the device's only loss model.  Drops count in
     [wire_drops]; corruption/duplication copy the frame so shared chains
     are never scribbled on; delays add to propagation, reordering the
     frame behind later ones. *)
@@ -89,19 +79,16 @@ val set_faults : t -> Faults.t -> unit
 val faults : t -> Faults.t option
 
 val set_admission :
-  ?budget:int -> ?window:Sim.Stime.t -> ?defer_limit:int -> ?poll_batch:int ->
-  t -> unit
+  ?budget:int -> ?window:Sim.Stime.t -> ?defer_limit:int -> t -> unit
 (** Enable interrupt admission control: at most [budget] frames (default
     8) take the receive-interrupt path per [window] (default 1 ms);
     the excess queues — each frame still holding its ring slot — and is
-    drained in [poll_batch]-sized batches (default [budget]) at thread
-    priority, one fixed driver charge per batch.  When the deferred
+    drained in batches of up to [budget] frames at thread priority, one
+    fixed driver charge per batch.  When the deferred
     queue holds [defer_limit] frames (default 256) further frames are
     shed before any interrupt cost ([rx_shed]).  If a ring pool is
     installed, its pressure watermarks force deferral early.
     @raise Invalid_argument on non-positive parameters. *)
-
-val clear_admission : t -> unit
 
 val admission_backlog : t -> int
 (** Frames currently parked in the deferred queue. *)

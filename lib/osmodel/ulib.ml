@@ -198,7 +198,7 @@ let create host =
       counters = { rx = 0; delivered = 0; filtered_out = 0; tx = 0 };
     }
   in
-  Netsim.Dev.set_rx dev (rx t);
+  Netsim.Dev.set_rx dev (fun ~polled:_ pkt -> rx t pkt);
   t
 
 let prime_arp t ip mac =

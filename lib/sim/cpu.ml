@@ -25,16 +25,11 @@ type t = {
   engine : Engine.t;
   name : string;
   intr_q : ring;
-  thread_q : ring; (* preempted thread work re-enters at its head *)
+  thread_q : ring;
   mutable busy : bool;
-  mutable preemptive : bool;
-  (* the item in service, valid while [serving] *)
-  mutable serving : bool;
+  (* the item in service, valid while [busy] *)
   mutable cur_cost : Stime.t;
   mutable cur_k : unit -> unit;
-  mutable cur_prio : prio;
-  mutable cur_started : Stime.t;
-  mutable cur_done : Engine.handle; (* its completion event *)
   complete : unit -> unit; (* the completion thunk, shared by every item *)
   mutable reserved_until : Stime.t;
       (* CPU time charged inline via [charge], with no work item of its
@@ -69,42 +64,31 @@ let push r cost k =
   r.ks.(i) <- k;
   r.len <- r.len + 1
 
-let push_front r cost k =
-  if r.len = Array.length r.ks then grow r;
-  let i = (r.head - 1) land (Array.length r.ks - 1) in
-  r.costs.(i) <- cost;
-  r.ks.(i) <- k;
-  r.head <- i;
-  r.len <- r.len + 1
-
-let serve t ~cost k prio =
+let serve t ~cost k =
   t.busy <- true;
-  let started = Engine.now t.engine in
   (* an outstanding inline charge delays service of queued work *)
-  let wait = Stime.max Stime.zero (Stime.sub t.reserved_until started) in
-  t.serving <- true;
+  let wait =
+    Stime.max Stime.zero (Stime.sub t.reserved_until (Engine.now t.engine))
+  in
   t.cur_cost <- cost;
   t.cur_k <- k;
-  t.cur_prio <- prio;
-  t.cur_started <- started;
-  t.cur_done <- Engine.schedule_in t.engine ~delay:(Stime.add wait cost) t.complete
+  ignore (Engine.schedule_in t.engine ~delay:(Stime.add wait cost) t.complete)
 
-let serve_head t r prio =
+let serve_head t r =
   let i = r.head in
   let cost = r.costs.(i) and k = r.ks.(i) in
   r.ks.(i) <- noop;
   r.head <- (i + 1) land (Array.length r.ks - 1);
   r.len <- r.len - 1;
-  serve t ~cost k prio
+  serve t ~cost k
 
 let service t =
-  if t.intr_q.len > 0 then serve_head t t.intr_q Interrupt
-  else if t.thread_q.len > 0 then serve_head t t.thread_q Thread
+  if t.intr_q.len > 0 then serve_head t t.intr_q
+  else if t.thread_q.len > 0 then serve_head t t.thread_q
   else t.busy <- false
 
 let complete t =
   let cost = t.cur_cost and k = t.cur_k in
-  t.serving <- false;
   t.cur_k <- noop;
   t.busy_ns <- Stime.add t.busy_ns cost;
   t.window_busy <- Stime.add t.window_busy cost;
@@ -120,13 +104,8 @@ let create engine ~name =
       intr_q = ring ();
       thread_q = ring ();
       busy = false;
-      preemptive = false;
-      serving = false;
       cur_cost = Stime.zero;
       cur_k = noop;
-      cur_prio = Thread;
-      cur_started = Stime.zero;
-      cur_done = Engine.null_handle engine;
       complete = (fun () -> complete t);
       reserved_until = Stime.zero;
       busy_ns = Stime.zero;
@@ -141,28 +120,6 @@ let name t = t.name
 let engine t = t.engine
 let busy_time t = t.busy_ns
 let served t = t.served
-
-(* Opt-in preemption: interrupt-priority arrivals suspend in-service
-   thread-priority work (its remainder resumes once interrupts drain).
-   Off by default — the calibrated experiments use non-preemptive
-   two-level service. *)
-let set_preemptive t flag = t.preemptive <- flag
-let preemptive t = t.preemptive
-
-(* Suspend in-service thread work so that a just-arrived interrupt runs
-   immediately; the consumed slice is charged now and the remainder goes
-   back to the head of the line. *)
-let preempt t =
-  if t.serving && t.cur_prio = Thread then begin
-    Engine.cancel t.cur_done;
-    let consumed = Stime.sub (Engine.now t.engine) t.cur_started in
-    t.busy_ns <- Stime.add t.busy_ns consumed;
-    t.window_busy <- Stime.add t.window_busy consumed;
-    push_front t.thread_q (Stime.sub t.cur_cost consumed) t.cur_k;
-    t.serving <- false;
-    t.cur_k <- noop;
-    service t
-  end
 
 (* Account CPU work performed inline by the caller, with no work item and
    no engine event: the CPU is reserved until now + cost, so pending and
@@ -180,11 +137,9 @@ let run t ?(prio = Thread) ~cost k =
   if not t.busy then
     (* idle CPU: the queues are empty (service drains them before
        clearing [busy]), so skip the queue round-trip entirely *)
-    serve t ~cost k prio
-  else begin
-    push (match prio with Interrupt -> t.intr_q | Thread -> t.thread_q) cost k;
-    if t.preemptive && prio = Interrupt then preempt t
-  end
+    serve t ~cost k
+  else
+    push (match prio with Interrupt -> t.intr_q | Thread -> t.thread_q) cost k
 
 let reset_window t =
   t.window_start <- Engine.now t.engine;

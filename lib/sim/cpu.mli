@@ -21,8 +21,9 @@ val engine : t -> Engine.t
 
 val run : t -> ?prio:prio -> cost:Stime.t -> (unit -> unit) -> unit
 (** [run t ~prio ~cost k] enqueues [cost] worth of work; [k] fires when the
-    work completes.  Two-level priority service, non-preemptive by
-    default (see {!set_preemptive}). *)
+    work completes.  Two-level priority service, non-preemptive: an
+    interrupt-priority arrival waits for the item in service, then runs
+    before any queued thread work. *)
 
 val charge : t -> cost:Stime.t -> unit
 (** Account [cost] of CPU time performed inline by the caller, without a
@@ -30,14 +31,6 @@ val charge : t -> cost:Stime.t -> unit
     (stacking with any outstanding reservation), and pending or future
     {!run} work is served only after the reservation elapses.  Busy-time
     and utilization accounting include the charge. *)
-
-val set_preemptive : t -> bool -> unit
-(** When enabled, an interrupt-priority arrival suspends in-service
-    thread-priority work; the remainder resumes after interrupts drain.
-    Default: off (the calibrated experiments use non-preemptive
-    service). *)
-
-val preemptive : t -> bool
 
 val busy_time : t -> Stime.t
 (** Total CPU time charged since creation. *)

@@ -109,7 +109,6 @@ let now t = t.clock
 let rng t = t.rng
 let events_run t = t.events_run
 let pending t = t.live + t.front_live
-let null_handle t = t.nil
 
 (* ---- wheel ----------------------------------------------------------- *)
 

@@ -9,10 +9,6 @@ type t
 type handle
 (** A scheduled event, usable for cancellation. *)
 
-val null_handle : t -> handle
-(** A handle of no event: cancelling it does nothing.  Initialises a
-    mutable handle slot without an option. *)
-
 val create : ?seed:int -> unit -> t
 (** Fresh engine with clock at zero.  [seed] initialises {!rng}. *)
 

@@ -1323,8 +1323,8 @@ let leaf_of ev plan v =
    one [guard] per handler and the handlers' [gcost] — and counts as a
    linear or indexed raise by its classification; only a switch-tree
    walk charges [tree_node] per switch visited, counts an index lookup
-   and emits an [Index_lookup] span.  [raises]/[ev_raises] are the
-   caller's job (so batch entry points can amortize them). *)
+   and emits an [Index_lookup] span.  [raises]/[ev_raises] are counted
+   by [raise]. *)
 let raise_tree ?over ev v flow =
   let d = ev.disp in
   let plan = plan_for ev in
@@ -1539,16 +1539,18 @@ let replay_start ev v sg hops =
   done;
   Sim.Cpu.charge d.cpu ~cost:rp.rp_cost
 
-(* One raise, flow-cache aware.  [raises]/[ev_raises] already counted by
-   the caller.  [prio] (or a sticky override left by an overridden
-   handler body) demotes the raise and everything it delivers; demoted
+(* One raise, flow-cache aware, counted in [raises]/[ev_raises].
+   [prio] (or a sticky override left by an overridden handler body)
+   demotes the raise and everything it delivers; demoted
    raises bypass the flow cache entirely — replay charges its cost
    synchronously in the raiser's context, which is exactly what the
    demoted path must avoid, and a demoted walk must not record either
    (its chain would replay at interrupt priority later).  A miss and a
    stale entry both record the chain afresh. *)
-let dispatch ?prio ev v =
+let raise ?prio ev v =
   let d = ev.disp in
+  incr d.raises;
+  incr ev.ev_raises;
   let over = match prio with Some _ -> prio | None -> d.prio_override in
   match d.flow with
   | Replaying rp as flow -> replay_step ev v rp flow
@@ -1579,26 +1581,6 @@ let dispatch ?prio ev v =
                          rec_ok = true;
                        })))
       | _ -> raise_tree ?over ev v No_flow)
-
-let raise ?prio ev v =
-  let d = ev.disp in
-  incr d.raises;
-  incr ev.ev_raises;
-  dispatch ?prio ev v
-
-(* Back-to-back frames: one raise-counter update for the whole batch
-   instead of per frame; each frame still dispatches (and hits or
-   records the flow cache) individually. *)
-let raise_batch ?prio ev vs =
-  match vs with
-  | [] -> ()
-  | [ v ] -> raise ?prio ev v
-  | vs ->
-      let d = ev.disp in
-      let n = List.length vs in
-      d.raises := !(d.raises) + n;
-      ev.ev_raises := !(ev.ev_raises) + n;
-      List.iter (fun v -> dispatch ?prio ev v) vs
 
 (* --- introspection rendering ------------------------------------------ *)
 

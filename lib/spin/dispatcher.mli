@@ -299,12 +299,6 @@ val raise : ?prio:Sim.Cpu.prio -> 'a event -> 'a -> unit
     chain synchronously in the raiser's context and a recording would
     replay at interrupt priority later, both wrong for a demoted walk. *)
 
-val raise_batch : ?prio:Sim.Cpu.prio -> 'a event -> 'a list -> unit
-(** Raise the event once per payload, back to back, amortizing the
-    raise-counter updates across the batch.  Each payload still
-    dispatches (and hits or records the flow cache) individually.
-    [?prio] as in {!raise}. *)
-
 (** {1 Counters} *)
 
 val raises : t -> int

@@ -260,6 +260,12 @@ let suite =
 
 (* ---- reliable blast (application-level framing) -------------------------- *)
 
+(* Bernoulli wire loss on a device, drawn from the engine's own stream. *)
+let lossy engine dev p =
+  let plan = Netsim.Faults.create ~rng:(Sim.Engine.rng engine) () in
+  Netsim.Faults.set_loss plan (Netsim.Faults.Bernoulli p);
+  Netsim.Dev.set_faults dev plan
+
 let blast_lossless () =
   let p = pair () in
   let data = String.init 20_000 (fun i -> Char.chr (i mod 256)) in
@@ -292,8 +298,8 @@ let blast_with_loss () =
   let b = Plexus.Stack.build eb.Netsim.Network.host in
   Plexus.Stack.prime_arp a b;
   (* drop a tenth of all frames in each direction *)
-  Netsim.Dev.set_loss ea.Netsim.Network.dev 0.1;
-  Netsim.Dev.set_loss eb.Netsim.Network.dev 0.1;
+  lossy engine ea.Netsim.Network.dev 0.1;
+  lossy engine eb.Netsim.Network.dev 0.1;
   let data = String.init 50_000 (fun i -> Char.chr ((i * 13) mod 256)) in
   let got = ref None in
   let r = Apps.Blast.receive b ~port:4000 ~on_complete:(fun d -> got := Some d) in
@@ -348,7 +354,7 @@ let blast_heavy_loss_many_rounds () =
   let a = Plexus.Stack.build ea.Netsim.Network.host in
   let b = Plexus.Stack.build eb.Netsim.Network.host in
   Plexus.Stack.prime_arp a b;
-  Netsim.Dev.set_loss ea.Netsim.Network.dev 0.3;
+  lossy engine ea.Netsim.Network.dev 0.3;
   let data = String.init 200_000 (fun i -> Char.chr ((i * 31) mod 256)) in
   let got = ref None in
   let r = Apps.Blast.receive b ~port:4000 ~on_complete:(fun d -> got := Some d) in

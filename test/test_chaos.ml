@@ -89,22 +89,28 @@ let pair () =
   in
   (engine, ea, eb)
 
+(* Attach a Bernoulli loss plan drawing from the engine's own stream;
+   [1.0] is a blackout. *)
+let lossy engine dev p =
+  let plan = Netsim.Faults.create ~rng:(Sim.Engine.rng engine) () in
+  Netsim.Faults.set_loss plan (Netsim.Faults.Bernoulli p);
+  Netsim.Dev.set_faults dev plan
+
 let set_loss_interval () =
-  let _, ea, _ = pair () in
-  let dev = ea.Netsim.Network.dev in
-  Netsim.Dev.set_loss dev 0.0;
-  Netsim.Dev.set_loss dev 0.5;
-  Netsim.Dev.set_loss dev 1.0;
-  Alcotest.check_raises "p > 1 rejected" (Invalid_argument "Dev.set_loss")
-    (fun () -> Netsim.Dev.set_loss dev 1.01);
-  Alcotest.check_raises "p < 0 rejected" (Invalid_argument "Dev.set_loss")
-    (fun () -> Netsim.Dev.set_loss dev (-0.01))
+  let plan = Netsim.Faults.create ~rng:(Sim.Rng.create 1) () in
+  let set p = Netsim.Faults.set_loss plan (Netsim.Faults.Bernoulli p) in
+  set 0.0;
+  set 0.5;
+  set 1.0;
+  let rejected = Invalid_argument "Faults.set_loss: probability" in
+  Alcotest.check_raises "p > 1 rejected" rejected (fun () -> set 1.01);
+  Alcotest.check_raises "p < 0 rejected" rejected (fun () -> set (-0.01))
 
 (* Total loss: every frame transmits fine (tx_drops stays 0 — that
    counter means queue overflow, nothing else) and dies on the wire. *)
 let wire_drops_split () =
   let engine, ea, eb = pair () in
-  Netsim.Dev.set_loss ea.Netsim.Network.dev 1.0;
+  lossy engine ea.Netsim.Network.dev 1.0;
   let a = Plexus.Stack.build ea.Netsim.Network.host in
   let b = Plexus.Stack.build eb.Netsim.Network.host in
   Plexus.Stack.prime_arp a b;
@@ -153,7 +159,7 @@ let admission_accounting () =
       ~a:("blaster", ip_a) ~b:("victim", ip_b)
   in
   Netsim.Dev.set_admission ~budget:2 ~window:(Sim.Stime.ms 1) ~defer_limit:8
-    ~poll_batch:4 eb.Netsim.Network.dev;
+    eb.Netsim.Network.dev;
   let b = Plexus.Stack.build eb.Netsim.Network.host in
   let udp_b = Plexus.Stack.udp b in
   let got = ref 0 in
@@ -228,7 +234,7 @@ let frag_train_times_out () =
    drains). *)
 let arp_retry_exhaustion () =
   let engine, ea, eb = pair () in
-  Netsim.Dev.set_loss ea.Netsim.Network.dev 1.0;
+  lossy engine ea.Netsim.Network.dev 1.0;
   let a = Plexus.Stack.build ea.Netsim.Network.host in
   let _b = Plexus.Stack.build eb.Netsim.Network.host in
   let arp = Plexus.Stack.arp a in
@@ -258,7 +264,7 @@ let arp_retry_exhaustion () =
    continuation exactly once, and stops the retry chain. *)
 let arp_reply_between_retries () =
   let engine, ea, eb = pair () in
-  Netsim.Dev.set_loss ea.Netsim.Network.dev 1.0;
+  lossy engine ea.Netsim.Network.dev 1.0;
   let a = Plexus.Stack.build ea.Netsim.Network.host in
   let _b = Plexus.Stack.build eb.Netsim.Network.host in
   let arp = Plexus.Stack.arp a in

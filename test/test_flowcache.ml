@@ -438,11 +438,26 @@ let deliver_batch_through_stack () =
   let frames =
     List.init 8 (fun _ -> Mbuf.ro (mk_udp_frame ~dst_mac:mac ~dst_port:7))
   in
+  let ether_ev =
+    Plexus.Graph.recv_event (Plexus.Ether_mgr.node (Plexus.Stack.ether p.b))
+  in
+  let raises () =
+    let d = Plexus.Graph.dispatcher (Plexus.Stack.graph p.b) in
+    match
+      Observe.Registry.find
+        (Option.get (Spin.Dispatcher.registry d))
+        ("spin." ^ Spin.Dispatcher.name ether_ev ^ ".raises")
+    with
+    | Some (Observe.Registry.Counter n) -> !n
+    | _ -> Alcotest.fail "no raise counter"
+  in
+  let r0 = raises () in
   Netsim.Dev.deliver_batch dev frames;
   Sim.Engine.run p.Experiments.Common.engine;
   Alcotest.(check int) "all frames delivered" 8 !got;
   Alcotest.(check int) "batch counted on the device" 8
     (Netsim.Dev.counters dev).Netsim.Dev.rx_packets;
+  Alcotest.(check int) "one ether raise per frame" (r0 + 8) (raises ());
   (* an empty batch is a no-op *)
   Netsim.Dev.deliver_batch dev [];
   Sim.Engine.run p.Experiments.Common.engine;
@@ -462,37 +477,13 @@ let deliver_batch_ring_overflow () =
   (* deliver_batch releases the reserved ring slots itself when the
      coalesced interrupt fires — the upcall only consumes the frames *)
   let got = ref 0 in
-  Netsim.Dev.set_rx b (fun _ -> incr got);
+  Netsim.Dev.set_rx b (fun ~polled:_ _ -> incr got);
   let frames = List.init 6 (fun i -> Mbuf.ro (Mbuf.of_string (String.make 60 (Char.chr (65 + i))))) in
   Netsim.Dev.deliver_batch b frames;
   Sim.Engine.run e;
   Alcotest.(check int) "ring grants only its capacity" 4 !got;
   Alcotest.(check int) "overflow counted as rx drops" 2
     (Netsim.Dev.counters b).Netsim.Dev.rx_drops
-
-let raise_batch_amortizes () =
-  (* a single event with no nested raises, so the dispatcher-wide raise
-     counter isolates the batch's own accounting *)
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e ~name:"c" in
-  let d = D.create ~cpu ~costs:D.default_costs () in
-  D.set_flow_cache d true;
-  let ev = D.event d "rx" in
-  D.set_sigfn ev (fun v -> Some (string_of_int (v land 3)));
-  let log = ref [] in
-  let (_ : unit -> unit) =
-    D.install ev ~cacheable:true ~label:"h" ~cost:(us 1) (fun v ->
-        log := v :: !log)
-  in
-  let r0 = D.raises d in
-  D.raise_batch ev [ 0; 4; 8 ];
-  Sim.Engine.run e;
-  Alcotest.(check int) "every frame counted as a raise" (r0 + 3) (D.raises d);
-  Alcotest.(check (list int)) "per-frame delivery order preserved" [ 0; 4; 8 ]
-    (List.rev !log);
-  D.raise_batch ev [];
-  Sim.Engine.run e;
-  Alcotest.(check int) "empty batch raises nothing" (r0 + 3) (D.raises d)
 
 (* The synchronous replay charges its modelled chain cost as a CPU
    reservation: no engine event of its own, but queued and subsequent
@@ -573,7 +564,6 @@ let suite =
         tc "pool reserve_n/release_n" pool_reserve_n;
         tc "deliver_batch through the stack" deliver_batch_through_stack;
         tc "deliver_batch ring overflow" deliver_batch_ring_overflow;
-        tc "raise_batch amortizes" raise_batch_amortizes;
         tc "cpu charge reserves" cpu_charge_reserves;
       ] );
     ( "flowcache.signature",

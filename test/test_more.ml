@@ -245,7 +245,7 @@ let rx_ring_sheds_bursts () =
   let pool = Pool.create ~name:"rx-ring" ~capacity:4 () in
   Netsim.Dev.set_rx_pool b.Netsim.Network.dev pool;
   let got = ref 0 in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ -> incr got);
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun ~polled:_ _ -> incr got);
   (* occupy B's CPU so interrupts queue while frames keep arriving *)
   Sim.Cpu.run
     (Netsim.Host.cpu b.Netsim.Network.host)

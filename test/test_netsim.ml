@@ -17,7 +17,7 @@ let mk_pair ?(params = Netsim.Costs.loopback ()) () =
 let dev_delivers () =
   let engine, a, b = mk_pair () in
   let got = ref [] in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun pkt ->
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun ~polled:_ pkt ->
       got := Mbuf.to_string pkt :: !got);
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.of_string "frame-1");
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.of_string "frame-2");
@@ -33,7 +33,7 @@ let dev_delivers () =
 let dev_transmit_takes_ownership () =
   let engine, a, b = mk_pair () in
   let got = ref None in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun pkt -> got := Some pkt);
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun ~polled:_ pkt -> got := Some pkt);
   let pkt = Mbuf.of_string "orig" in
   Netsim.Dev.transmit a.Netsim.Network.dev pkt;
   (* the driver consumed the frame: the sender's handle is empty, so a
@@ -52,6 +52,29 @@ let dev_no_handler_drops () =
   Alcotest.(check int) "rx drop counted" 1
     (Netsim.Dev.counters b.Netsim.Network.dev).Netsim.Dev.rx_drops
 
+(* A frame nobody receives is freed on every receive path: a frame's own
+   interrupt, a coalesced burst and a poller batch. *)
+let dev_unhandled_frames_freed () =
+  let live () = snd (Mbuf.stats ()) in
+  let engine, a, b = mk_pair () in
+  let base = live () in
+  Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.of_string "interrupt");
+  Sim.Engine.run engine;
+  Alcotest.(check int) "interrupt path frees" base (live ());
+  Netsim.Dev.deliver_batch b.Netsim.Network.dev
+    (List.init 3 (fun _ -> Mbuf.ro (Mbuf.of_string "burst")));
+  Sim.Engine.run engine;
+  Alcotest.(check int) "burst path frees" base (live ());
+  Netsim.Dev.set_admission ~budget:1 b.Netsim.Network.dev;
+  for _ = 1 to 4 do
+    Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.of_string "polled")
+  done;
+  Sim.Engine.run engine;
+  let c = Netsim.Dev.counters b.Netsim.Network.dev in
+  Alcotest.(check int) "poller took the excess" 3 c.Netsim.Dev.rx_deferred;
+  Alcotest.(check int) "polled path frees" base (live ());
+  Alcotest.(check int) "every frame counted as a drop" 8 c.Netsim.Dev.rx_drops
+
 let dev_mtu_enforced () =
   let engine, a, _b = mk_pair ~params:(Netsim.Costs.ethernet ()) () in
   ignore engine;
@@ -65,7 +88,7 @@ let dev_wire_serializes () =
      their wire time apart. *)
   let engine, a, b = mk_pair ~params:(Netsim.Costs.ethernet ()) () in
   let arrivals = ref [] in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ ->
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun ~polled:_ _ ->
       arrivals := Sim.Engine.now engine :: !arrivals);
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000);
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000);
@@ -87,8 +110,9 @@ let dev_shared_medium_contends () =
   let run params =
     let engine, a, b = mk_pair ~params () in
     let last = ref Sim.Stime.zero in
-    Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ -> last := Sim.Engine.now engine);
-    Netsim.Dev.set_rx a.Netsim.Network.dev (fun _ -> last := Sim.Engine.now engine);
+    let stamp ~polled:_ _ = last := Sim.Engine.now engine in
+    Netsim.Dev.set_rx b.Netsim.Network.dev stamp;
+    Netsim.Dev.set_rx a.Netsim.Network.dev stamp;
     Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000);
     Netsim.Dev.transmit b.Netsim.Network.dev (Mbuf.alloc 1000);
     Sim.Engine.run engine;
@@ -102,7 +126,7 @@ let dev_shared_medium_contends () =
 
 let dev_pio_charges_cpu () =
   let engine, a, b = mk_pair ~params:(Netsim.Costs.atm ()) () in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ -> ());
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun ~polled:_ _ -> ());
   let cpu_a = Netsim.Host.cpu a.Netsim.Network.host in
   let before = Sim.Stime.to_ns (Sim.Cpu.busy_time cpu_a) in
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000);
@@ -117,7 +141,7 @@ let dev_pio_charges_cpu () =
 let dev_txq_overflow () =
   let params = { (Netsim.Costs.ethernet ()) with Netsim.Costs.txq_limit = 2 } in
   let engine, a, b = mk_pair ~params () in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ -> ());
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun ~polled:_ _ -> ());
   for _ = 1 to 10 do
     Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000)
   done;
@@ -153,7 +177,7 @@ let dev_drops_traced () =
     let engine, a, b = mk_pair ~params:(Netsim.Costs.ethernet ()) () in
     let ring = ring_on b in
     setup b.dev;
-    Netsim.Dev.set_rx b.dev ignore;
+    Netsim.Dev.set_rx b.dev (fun ~polled:_ _ -> ());
     Sim.Cpu.run (Netsim.Host.cpu b.host) ~prio:Sim.Cpu.Interrupt
       ~cost:(Sim.Stime.ms 50) ignore;
     for _ = 1 to 20 do
@@ -167,13 +191,13 @@ let dev_drops_traced () =
     "rx_ring_full";
   burst_into_busy_host
     (Netsim.Dev.set_admission ~budget:2 ~window:(Sim.Stime.ms 100)
-       ~defer_limit:4 ~poll_batch:4)
+       ~defer_limit:4)
     "admission_shed";
   (* a full transmit queue on the sending side *)
   let params = { (Netsim.Costs.ethernet ()) with Netsim.Costs.txq_limit = 2 } in
   let engine, a, b = mk_pair ~params () in
   let ring = ring_on a in
-  Netsim.Dev.set_rx b.dev ignore;
+  Netsim.Dev.set_rx b.dev (fun ~polled:_ _ -> ());
   for _ = 1 to 10 do
     Netsim.Dev.transmit a.dev (Mbuf.alloc 1000)
   done;
@@ -263,8 +287,8 @@ let network_line3 () =
     (List.length (Netsim.Host.devices m1.Netsim.Network.host));
   (* client can reach middle's first device *)
   let got = ref 0 in
-  Netsim.Dev.set_rx m1.Netsim.Network.dev (fun _ -> incr got);
-  Netsim.Dev.set_rx s.Netsim.Network.dev (fun _ -> incr got);
+  Netsim.Dev.set_rx m1.Netsim.Network.dev (fun ~polled:_ _ -> incr got);
+  Netsim.Dev.set_rx s.Netsim.Network.dev (fun ~polled:_ _ -> incr got);
   Netsim.Dev.transmit c.Netsim.Network.dev (Mbuf.of_string "to-middle");
   Netsim.Dev.transmit m2.Netsim.Network.dev (Mbuf.of_string "to-server");
   Sim.Engine.run engine;
@@ -277,6 +301,7 @@ let suite =
         tc "delivers in order" dev_delivers;
         tc "transmit takes ownership" dev_transmit_takes_ownership;
         tc "no handler -> drop" dev_no_handler_drops;
+        tc "unhandled frames are freed" dev_unhandled_frames_freed;
         tc "mtu enforced" dev_mtu_enforced;
         tc "wire serializes" dev_wire_serializes;
         tc "shared medium contends" dev_shared_medium_contends;

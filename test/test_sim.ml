@@ -240,11 +240,11 @@ let cpu_queue_depth () =
   Alcotest.(check int) "drained" 0 (Sim.Cpu.queue_depth cpu)
 
 let cpu_fifo_across_growth () =
-  (* more items than the initial queue capacity, with a preemption that
-     puts the interrupted item back at the head of the thread queue *)
+  (* more items than the initial queue capacity; an interrupt arriving
+     mid-item waits for it (service is non-preemptive), then jumps the
+     queued thread work *)
   let e = Sim.Engine.create () in
   let cpu = Sim.Cpu.create e ~name:"c" in
-  Sim.Cpu.set_preemptive cpu true;
   let order = ref [] in
   for i = 1 to 20 do
     Sim.Cpu.run cpu ~cost:(us 10) (fun () -> order := i :: !order)
@@ -255,8 +255,8 @@ let cpu_fifo_across_growth () =
              order := 0 :: !order)));
   Alcotest.(check int) "19 queued" 19 (Sim.Cpu.queue_depth cpu);
   Sim.Engine.run e;
-  Alcotest.(check (list int)) "interrupt first, then FIFO"
-    (0 :: List.init 20 (fun i -> i + 1))
+  Alcotest.(check (list int)) "item in service, interrupt, then FIFO"
+    (1 :: 0 :: List.init 19 (fun i -> i + 2))
     (List.rev !order);
   check_time "all work done" 201_000 (Sim.Stime.to_ns (Sim.Engine.now e))
 
@@ -309,7 +309,7 @@ let alloc_jitter_untraced () =
     in
     let plan = Netsim.Network.install_faults ~seed:1 a in
     Netsim.Faults.set_jitter plan jitter;
-    Netsim.Dev.set_rx b.Netsim.Network.dev Mbuf.free;
+    Netsim.Dev.set_rx b.Netsim.Network.dev (fun ~polled:_ pkt -> Mbuf.free pkt);
     let w =
       words_per ~n:2_000 (fun () ->
           Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 64);
@@ -421,72 +421,3 @@ let suite =
         prop stats_percentile_bounds;
       ] );
   ]
-
-(* ---- preemptive interrupt service (opt-in) ---------------------------- *)
-
-let cpu_preemption_latency () =
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e ~name:"c" in
-  Sim.Cpu.set_preemptive cpu true;
-  let intr_done = ref Sim.Stime.zero and thread_done = ref Sim.Stime.zero in
-  (* a long thread computation in service... *)
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(us 1000) (fun () ->
-      thread_done := Sim.Engine.now e);
-  (* ...and an interrupt arriving 100us in *)
-  ignore
-    (Sim.Engine.schedule e ~at:(us 100) (fun () ->
-         Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 10) (fun () ->
-             intr_done := Sim.Engine.now e)));
-  Sim.Engine.run e;
-  Alcotest.(check int) "interrupt served immediately" 110_000
-    (Sim.Stime.to_ns !intr_done);
-  Alcotest.(check int) "thread work finishes late by the interrupt time"
-    1_010_000
-    (Sim.Stime.to_ns !thread_done);
-  Alcotest.(check int) "total busy time conserved" 1_010_000
-    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
-
-let cpu_no_preemption_by_default () =
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e ~name:"c" in
-  let intr_done = ref Sim.Stime.zero in
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(us 1000) ignore;
-  ignore
-    (Sim.Engine.schedule e ~at:(us 100) (fun () ->
-         Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 10) (fun () ->
-             intr_done := Sim.Engine.now e)));
-  Sim.Engine.run e;
-  Alcotest.(check int) "interrupt waits for the thread slice" 1_010_000
-    (Sim.Stime.to_ns !intr_done)
-
-let cpu_repeated_preemption () =
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e ~name:"c" in
-  Sim.Cpu.set_preemptive cpu true;
-  let thread_done = ref Sim.Stime.zero in
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(us 300) (fun () ->
-      thread_done := Sim.Engine.now e);
-  (* three interrupts, each cutting in *)
-  List.iter
-    (fun at ->
-      ignore
-        (Sim.Engine.schedule e ~at:(us at) (fun () ->
-             Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 50) ignore)))
-    [ 50; 150; 250 ];
-  Sim.Engine.run e;
-  (* 300us of thread work + 150us of interrupts *)
-  Alcotest.(check int) "thread completes after all slices" 450_000
-    (Sim.Stime.to_ns !thread_done);
-  Alcotest.(check int) "busy conserved" 450_000
-    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
-
-let suite =
-  suite
-  @ [
-      ( "sim.cpu_preemption",
-        [
-          tc "interrupt preempts thread work" cpu_preemption_latency;
-          tc "off by default" cpu_no_preemption_by_default;
-          tc "repeated preemption conserves work" cpu_repeated_preemption;
-        ] );
-    ]
