@@ -1,14 +1,17 @@
 (* Golden snapshot of the simulated evaluation: Figure 5, the section 4.2
-   throughput table, Figure 7, the section 3.3 microbenchmarks, the
-   ablations, the motivation experiments, the size sweep, HTTP GET
-   latency, the server farm and its scale probe, unrounded, one seed of
-   each chaos scenario, the overload and livelock experiments, the
-   single-domain [Par.Node] oracle, then per-event dispatcher counters
-   from two fixed Figure-5 echo runs.
+   throughput table, Figure 6 at five stream counts (both sides of the
+   T3 saturation point) and its client-side finding, Figure 7, the
+   section 3.3 microbenchmarks, the ablations, the motivation
+   experiments, the size sweep, HTTP GET latency, the server farm and
+   its scale probe, unrounded, one seed of each chaos scenario, the
+   overload and livelock experiments, the single-domain [Par.Node]
+   oracle, then per-event dispatcher counters from two fixed Figure-5
+   echo runs.
    The simulator is deterministic, so [dune runtest] can diff this
    against [golden.expected]; even a 1 ns change to one [Netsim.Costs]
-   constant shows.  Figure 6 is left out: it alone takes seconds.
-   Regenerate the expected file only on purpose
+   constant shows.  Figure 6's full stream sweep takes seconds, so only
+   a subset of stream counts is pinned.  Regenerate the expected file
+   only on purpose
    ([dune exec test/golden/golden.exe > test/golden/golden.expected])
    and say in the change log what moved and why. *)
 
@@ -49,6 +52,26 @@ let tput () =
           ("gap_p99_us", fl r.gap_p99_us);
         ])
     (Experiments.Tput.run ~bytes:500_000 ())
+
+let fig6 () =
+  List.iter
+    (fun (s : Experiments.Fig6.sample) ->
+      row
+        ("fig6 " ^ int s.streams)
+        [
+          ("spin_util", fl s.spin_util);
+          ("du_util", fl s.du_util);
+          ("net_mbps", fl s.net_mbps);
+        ])
+    (Experiments.Fig6.run ~stream_counts:[ 1; 4; 8; 15; 30 ] ());
+  let c = Experiments.Fig6.client () in
+  row
+    ("fig6 client " ^ int c.c_streams)
+    [
+      ("plexus_util", fl c.plexus_util);
+      ("du_util", fl c.du_util);
+      ("plexus_fb_share", fl c.plexus_fb_share);
+    ]
 
 let fig7 () =
   List.iter
@@ -286,6 +309,7 @@ let dispatch_counters ~tag ~mixed =
 let () =
   fig5 ();
   tput ();
+  fig6 ();
   fig7 ();
   micro ();
   ablate ();
