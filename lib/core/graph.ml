@@ -32,7 +32,6 @@ let dispatcher t = t.disp
 let kernel t = Netsim.Host.kernel t.host
 let registry t = Spin.Kernel.registry (kernel t)
 let trace t = Spin.Kernel.trace (kernel t)
-let flight t = Spin.Kernel.flight (kernel t)
 
 let node t name =
   match List.find_opt (fun n -> n.node_name = name) t.nodes with
@@ -52,13 +51,21 @@ let node t name =
          fresh, unfragmented frames are signable; everything else
          bypasses the cache (Filter.flow_signature). *)
       Spin.Dispatcher.set_sigfn recv Filter.flow_signature;
-      (* ... and one flight-recorder mark extractor: the sampled packet
-         id rides on the mbuf, so every node in the graph attributes its
-         raise/handler stages to the same end-to-end timeline. *)
+      (* ... and one packet-mark extractor: the sampled packet id rides
+         on the mbuf, so every node's raise and handler records join
+         the same end-to-end timeline. *)
       Spin.Dispatcher.set_markfn recv (fun ctx -> Mbuf.mark ctx.Pctx.pkt);
       let n = { node_name = name; recv } in
       t.nodes <- t.nodes @ [ n ];
       n
+
+let drop t ctx ~scope ~reason =
+  let tr = trace t and mark = Mbuf.mark ctx.Pctx.pkt in
+  let traced = Observe.Trace.active tr in
+  if traced || Observe.Trace.samples tr mark then
+    Observe.Trace.note tr ~traced ~mark
+      ~at_ns:(Sim.Stime.to_ns (Spin.Kernel.now (kernel t)))
+      (Observe.Trace.Drop { scope; reason })
 
 let find_node t name = List.find_opt (fun n -> n.node_name = name) t.nodes
 

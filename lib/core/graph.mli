@@ -15,10 +15,13 @@ val registry : t -> Observe.Registry.t
 (** The owning kernel's metrics registry. *)
 
 val trace : t -> Observe.Trace.t
-(** The owning kernel's span endpoint. *)
+(** The owning kernel's trace endpoint (spans and sampled flight
+    records). *)
 
-val flight : t -> Observe.Flight.t
-(** The owning kernel's packet flight recorder. *)
+val drop : t -> Pctx.t -> scope:string -> reason:string -> unit
+(** A packet dropped at protocol layer [scope]: a
+    {!Observe.Trace.Drop} span while tracing, and the terminal flight
+    record of a sampled packet. *)
 
 val node : t -> string -> node
 (** Find-or-create a protocol node (and its PacketRecv event). *)

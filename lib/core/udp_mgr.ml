@@ -48,38 +48,6 @@ let proto_guard t ctx =
          View.length v < 4 || not (List.mem (View.get_u16 v 2) t.excluded))
   | None -> false
 
-(* Flight-recorder terminal stages: a sampled packet's timeline ends
-   here, with end-to-end latency from ingress as the stage duration.  The
-   stage is [stage arg], built only for a sampled packet. *)
-let flight_finish graph ctx stage arg =
-  let fl = Graph.flight graph in
-  if Observe.Flight.enabled fl then begin
-    let pkt = Mbuf.mark ctx.Pctx.pkt in
-    if pkt > 0 then begin
-      let at_ns = Sim.Stime.to_ns (Spin.Kernel.now (Graph.kernel graph)) in
-      Observe.Flight.note fl ~pkt ~at_ns
-        ~dur_ns:(Observe.Flight.since_ingress fl ~pkt ~at_ns)
-        (stage arg);
-      Observe.Flight.finish fl ~pkt
-    end
-  end
-
-let deliver_stage port =
-  Observe.Flight.Deliver { scope = Printf.sprintf "udp:%d" port }
-
-let drop_stage reason = Observe.Flight.Drop { scope = "udp"; reason }
-
-let drop_span graph ctx ~reason =
-  let tr = Graph.trace graph in
-  if Observe.Trace.active tr then
-    Observe.Trace.emit tr
-      {
-        Observe.Trace.at_ns =
-          Sim.Stime.to_ns (Spin.Kernel.now (Graph.kernel graph));
-        event = Observe.Trace.Drop { scope = "udp"; reason };
-      };
-  flight_finish graph ctx drop_stage reason
-
 let create graph ip =
   let costs = Netsim.Host.costs (Graph.host graph) in
   let t =
@@ -116,13 +84,13 @@ let create graph ip =
     if not (Proto.Udp.valid ~src:iph.Proto.Ipv4.src ~dst:iph.Proto.Ipv4.dst v)
     then begin
       t.counters.bad_checksum <- t.counters.bad_checksum + 1;
-      drop_span graph ctx ~reason:"bad_checksum"
+      Graph.drop graph ctx ~scope:"udp" ~reason:"bad_checksum"
     end
     else begin
       match Proto.Udp.parse v with
       | None ->
           t.counters.bad_checksum <- t.counters.bad_checksum + 1;
-          drop_span graph ctx ~reason:"bad_checksum"
+          Graph.drop graph ctx ~scope:"udp" ~reason:"bad_checksum"
       | Some h ->
           let ctx =
             Pctx.with_ports
@@ -131,12 +99,17 @@ let create graph ip =
           in
           if Spin.Sharded.Table.mem t.binds h.Proto.Udp.dst_port then begin
             t.counters.delivered <- t.counters.delivered + 1;
-            flight_finish graph ctx deliver_stage h.Proto.Udp.dst_port;
+            let tr = Graph.trace graph and mark = Mbuf.mark ctx.Pctx.pkt in
+            if Observe.Trace.samples tr mark then
+              Observe.Trace.note tr ~traced:false ~mark
+                ~at_ns:(Sim.Stime.to_ns (Spin.Kernel.now (Graph.kernel graph)))
+                (Observe.Trace.Deliver
+                   { scope = Printf.sprintf "udp:%d" h.Proto.Udp.dst_port });
             Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
           end
           else begin
             t.counters.no_port <- t.counters.no_port + 1;
-            drop_span graph ctx ~reason:"no_port";
+            Graph.drop graph ctx ~scope:"udp" ~reason:"no_port";
             (* BSD behaviour: answer with an ICMP port unreachable *)
             t.counters.unreachable_sent <- t.counters.unreachable_sent + 1;
             let original = View.to_string v in

@@ -73,7 +73,6 @@ type t = {
   mutable faults : Faults.t option;
   mutable admission : admission option;
   mutable otrace : Observe.Trace.t option;
-  mutable flight : Observe.Flight.t option;
   counters : counters;
 }
 
@@ -92,7 +91,6 @@ let create engine ~cpu ~name ~mac params =
     faults = None;
     admission = None;
     otrace = None;
-    flight = None;
     counters =
       {
         tx_packets = 0;
@@ -131,45 +129,6 @@ let rx_pool t = t.rx_pool
 let set_faults t plan = t.faults <- Some plan
 let faults t = t.faults
 let set_trace t tr = t.otrace <- Some tr
-let set_flight t fl = t.flight <- Some fl
-
-(* Flight-recorder ingress: the receiving device is where a packet's
-   timeline begins.  Unmarked frames roll the sampling dice ([admit]);
-   a frame already carrying a mark (stamped by an upstream shard plan,
-   or surviving an application echo) keeps its identity so the timeline
-   stays stitched end to end. *)
-let flight_ingress peer pkt =
-  match peer.flight with
-  | Some fl when Observe.Flight.enabled fl ->
-      let id =
-        match Mbuf.mark pkt with
-        | 0 ->
-            let id = Observe.Flight.admit fl in
-            if id > 0 then Mbuf.set_mark pkt id;
-            id
-        | id -> id
-      in
-      if id > 0 then
-        Observe.Flight.ingress fl ~pkt:id
-          ~at_ns:(Sim.Stime.to_ns (Sim.Engine.now peer.engine))
-          ~dev:peer.name
-  | _ -> ()
-
-(* Queue-wait attribution for frames parked past the interrupt budget:
-   charged when the poller finally picks the frame up, as time since
-   ingress. *)
-let flight_queue_wait peer pkt =
-  match peer.flight with
-  | Some fl when Observe.Flight.enabled fl ->
-      let id = Mbuf.mark pkt in
-      if id > 0 then begin
-        let at_ns = Sim.Stime.to_ns (Sim.Engine.now peer.engine) in
-        Observe.Flight.note fl ~pkt:id ~at_ns
-          ~dur_ns:(Observe.Flight.since_ingress fl ~pkt:id ~at_ns)
-          (Observe.Flight.Queue_wait { dev = peer.name })
-      end
-  | _ -> ()
-
 let set_admission ?(budget = 8) ?(window = Sim.Stime.ms 1) ?(defer_limit = 256)
     t =
   if budget <= 0 then invalid_arg "Dev.set_admission: budget";
@@ -204,19 +163,58 @@ let pio_cost t len = Costs.per_byte t.params.Costs.pio_ns_per_byte len
 let tracing t =
   match t.otrace with Some tr -> Observe.Trace.active tr | None -> false
 
-(* Callers test [tracing] first, so a span is built only when it is
-   emitted. *)
-let span t event =
+let sampled t mark =
+  match t.otrace with Some tr -> Observe.Trace.samples tr mark | None -> false
+
+(* The device's one trace call per event: to the kernel's sink when
+   [traced], to its flight ring when [mark] is sampled.  Callers test
+   [tracing] or [sampled] first, so an event is built only when it is
+   recorded. *)
+let note t ~traced ~mark event =
   match t.otrace with
   | Some tr ->
-      Observe.Trace.emit tr
-        { Observe.Trace.at_ns = Sim.Stime.to_ns (Sim.Engine.now t.engine); event }
+      Observe.Trace.note tr ~traced ~mark
+        ~at_ns:(Sim.Stime.to_ns (Sim.Engine.now t.engine))
+        event
   | None -> ()
 
 let fault_span t ~fault ~detail =
-  span t (Observe.Trace.Wire_fault { link = t.name; fault; detail })
+  note t ~traced:true ~mark:0
+    (Observe.Trace.Wire_fault { link = t.name; fault; detail })
 
-let drop_span t ~reason = span t (Observe.Trace.Drop { scope = t.name; reason })
+(* A dropped frame: a span, and the terminal record of a sampled
+   frame's timeline. *)
+let drop t frame ~reason =
+  let traced = tracing t and mark = Mbuf.mark frame in
+  if traced || sampled t mark then
+    note t ~traced ~mark (Observe.Trace.Drop { scope = t.name; reason })
+
+(* Sampling starts at the receive ring: an unmarked frame rolls the
+   dice ([Flight.admit]) and a sampled one is stamped with its packet
+   id; a frame already carrying a mark (stamped by an upstream shard
+   plan, or surviving an application echo) keeps its identity, so the
+   timeline stays stitched end to end. *)
+let ingress peer pkt =
+  match peer.otrace with
+  | Some tr when Observe.Flight.enabled tr ->
+      let mark =
+        match Mbuf.mark pkt with
+        | 0 ->
+            let m = Observe.Flight.admit tr in
+            if m > 0 then Mbuf.set_mark pkt m;
+            m
+        | m -> m
+      in
+      if mark > 0 then
+        note peer ~traced:false ~mark (Observe.Trace.Ingress { dev = peer.name })
+  | _ -> ()
+
+(* A deferred frame picked up by the poller; its wait is derived from
+   its ingress when the records are read. *)
+let queue_wait peer pkt =
+  let mark = Mbuf.mark pkt in
+  if sampled peer mark then
+    note peer ~traced:false ~mark (Observe.Trace.Queue_wait { dev = peer.name })
 
 (* Queue depths and drop counts as sampling gauges — read at registry
    snapshot time only, nothing on the per-frame path. *)
@@ -262,8 +260,8 @@ let service peer ~polled pkt rest =
   let n = 1 + List.length rest in
   (match peer.rx_pool with Some pool -> Pool.release_n pool n | None -> ());
   if polled then begin
-    flight_queue_wait peer pkt;
-    List.iter (flight_queue_wait peer) rest
+    queue_wait peer pkt;
+    List.iter (queue_wait peer) rest
   end;
   match peer.rx with
   | None ->
@@ -333,11 +331,11 @@ let deliver_to peer (pkt : Mbuf.ro Mbuf.t) =
   in
   if not ring_slot then begin
     peer.counters.rx_drops <- peer.counters.rx_drops + 1;
-    if tracing peer then drop_span peer ~reason:"rx_ring_full";
+    drop peer pkt ~reason:"rx_ring_full";
     Mbuf.free pkt
   end
   else begin
-    flight_ingress peer pkt;
+    ingress peer pkt;
     match peer.admission with
     | Some ac when not (admitted ac (Sim.Engine.now peer.engine)) ->
         if Queue.length ac.q >= ac.defer_limit then begin
@@ -348,7 +346,7 @@ let deliver_to peer (pkt : Mbuf.ro Mbuf.t) =
           | None -> ());
           peer.counters.rx_drops <- peer.counters.rx_drops + 1;
           peer.counters.rx_shed <- peer.counters.rx_shed + 1;
-          if tracing peer then drop_span peer ~reason:"admission_shed";
+          drop peer pkt ~reason:"admission_shed";
           Mbuf.free pkt
         end
         else begin
@@ -379,7 +377,9 @@ let deliver_batch peer pkts =
     else begin
       let dropped = List.filteri (fun i _ -> i >= granted) pkts in
       peer.counters.rx_drops <- peer.counters.rx_drops + (n - granted);
-      if tracing peer then drop_span peer ~reason:"rx_ring_full";
+      if tracing peer then
+        note peer ~traced:true ~mark:0
+          (Observe.Trace.Drop { scope = peer.name; reason = "rx_ring_full" });
       List.iter Mbuf.free dropped;
       List.filteri (fun i _ -> i < granted) pkts
     end
@@ -387,7 +387,7 @@ let deliver_batch peer pkts =
   match kept with
   | [] -> ()
   | pkt :: rest ->
-      List.iter (flight_ingress peer) kept;
+      List.iter (ingress peer) kept;
       interrupt peer pkt rest
 
 (* Apply a fault-plan verdict to a frame leaving the wire.  The plan
@@ -449,7 +449,7 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
       let len = Mbuf.length frame in
       if t.txq >= t.params.Costs.txq_limit then begin
         t.counters.tx_drops <- t.counters.tx_drops + 1;
-        if tracing t then drop_span t ~reason:"txq_full";
+        drop t frame ~reason:"txq_full";
         Mbuf.free frame
       end
       else begin

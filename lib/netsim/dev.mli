@@ -112,22 +112,19 @@ val register : t -> Observe.Registry.t -> unit
     snapshotted. *)
 
 val set_trace : t -> Observe.Trace.t -> unit
-(** Route the device's spans to this endpoint: injected faults as
+(** Route the device's events to this endpoint; wired to the host
+    kernel's trace by {!Host.add_device}.  Spans: injected faults as
     {!Observe.Trace.Wire_fault}, and frames dropped at a full receive
     ring, by admission shedding or at a full transmit queue as
-    {!Observe.Trace.Drop} with [scope] the device name.  Wired to the
-    host kernel's trace by {!Host.add_device}. *)
-
-val set_flight : t -> Observe.Flight.t -> unit
-(** Attach the host's packet flight recorder; wired by
-    {!Host.add_device}.  While the recorder is enabled, arriving frames
-    roll the sampling dice at the receive ring ({!Observe.Flight.admit});
-    sampled frames get the packet id stamped on the mbuf
-    ({!Packet.Mbuf.set_mark}) and an [Ingress] stage recorded, and
-    frames deferred past the interrupt budget additionally record a
-    [Queue_wait] stage when the poller picks them up.  Frames arriving
-    already marked (stamped by a shard plan upstream) keep their
-    identity. *)
+    {!Observe.Trace.Drop} with [scope] the device name.  While the
+    endpoint samples ({!Observe.Flight.set_rate}), an arriving frame
+    rolls the sampling dice at the receive ring ({!Observe.Flight.admit})
+    and a sampled one is stamped with its packet id
+    ({!Packet.Mbuf.set_mark}); its flight records then start with an
+    [Ingress], gain a [Queue_wait] when the admission poller picks it
+    up after deferral, and end with the [Drop] if the device drops it.
+    A frame arriving already marked (stamped by a shard plan upstream)
+    keeps its identity. *)
 
 val wire_time : t -> int -> Sim.Stime.t
 (** Wire occupancy of a packet of the given length (framing included). *)

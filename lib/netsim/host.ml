@@ -41,8 +41,7 @@ let add_device ?mac t params =
   t.devs <- t.devs @ [ dev ];
   if t.observe then begin
     Dev.register dev (Spin.Kernel.registry t.kernel);
-    Dev.set_trace dev (Spin.Kernel.trace t.kernel);
-    Dev.set_flight dev (Spin.Kernel.flight t.kernel)
+    Dev.set_trace dev (Spin.Kernel.trace t.kernel)
   end;
   dev
 

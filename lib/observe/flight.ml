@@ -1,79 +1,46 @@
-(* Packet flight recorder: sampled end-to-end latency timelines.
+(* Packet flight recorder: the sampled side of a trace endpoint.
 
-   A flight endpoint makes the ingress sampling decision (deterministic
-   1-in-N, keyed off a seeded mix so the sampled set is a pure function
-   of [seed], [rate] and arrival ordinals), hands out packet ids that
-   ride on the mbuf ([Packet.Mbuf.mark]), and collects per-stage latency
-   records — ingress, ingress→raise, per-handler run, admission queue
-   wait, cross-domain hop, delivery/drop — into a bounded ring.
+   The endpoint ([Trace.t]) makes the ingress sampling decision
+   (deterministic 1-in-N, keyed off a seeded mix so the sampled set is a
+   pure function of [seed], [rate] and arrival ordinals), hands out
+   packet ids that ride on the mbuf ([Packet.Mbuf.mark]), and keeps the
+   trace events of sampled packets in its bounded flight ring.  This
+   module is the sampling decision and the read side: records,
+   per-packet timelines and their text and JSON forms.
 
    One endpoint per kernel (and per domain in the parallel datapath);
-   per-domain rings are folded together with {!merge_into} at snapshot
+   per-domain rings are folded together with [merge_into] at snapshot
    time, each record keeping the domain that emitted it, so a packet
-   forwarded across an SPSC ring shows up as one timeline whose stages
-   carry their home domain.
+   forwarded across an SPSC ring shows up as one timeline whose events
+   carry their home domain. *)
 
-   The disabled path must be free: every emitter guards on
-   {!enabled} (one load + compare), and an unsampled packet costs one
-   mix + modulo at ingress and a [mark = 0] compare per stage site. *)
+type t = Trace.t
 
-type stage =
-  | Ingress of { dev : string }
-  | Raise of { event : string }
-  | Handler of { event : string; label : string }
-  | Queue_wait of { dev : string }
-  | Hop of { from_domain : int; to_domain : int }
-  | Deliver of { scope : string }
-  | Drop of { scope : string; reason : string }
-
-type record = {
+type record = Trace.record = {
   pkt : int;
   domain : int;
   at_ns : int;
   dur_ns : int;
-  stage : stage;
-}
-
-type t = {
-  seed : int;
-  mutable rate : int; (* 0 = disabled, N = sample 1-in-N *)
-  mutable domain : int;
-  mutable seen : int; (* ingress arrivals observed (sampled or not) *)
-  mutable sampled : int;
-  buf : record option array;
-  mutable head : int; (* next write slot *)
-  mutable len : int;
-  mutable dropped : int; (* overwritten records *)
-  origins : (int, int) Hashtbl.t; (* pkt id -> ingress timestamp (ns) *)
+  event : Trace.event;
 }
 
 let create ?(capacity = 4096) ?(rate = 0) ~seed () =
-  if capacity <= 0 then invalid_arg "Flight.create: capacity";
   if rate < 0 then invalid_arg "Flight.create: rate";
-  {
-    seed;
-    rate;
-    domain = 0;
-    seen = 0;
-    sampled = 0;
-    buf = Array.make capacity None;
-    head = 0;
-    len = 0;
-    dropped = 0;
-    origins = Hashtbl.create 64;
-  }
+  { (Trace.create ()) with seed; rate; flight = Ring.create ~capacity () }
+let enabled (t : t) = t.rate > 0
+let rate (t : t) = t.rate
 
-let[@inline] enabled t = t.rate > 0
-let rate t = t.rate
-let set_rate t r = if r < 0 then invalid_arg "Flight.set_rate" else t.rate <- r
-let seed t = t.seed
-let domain t = t.domain
-let set_domain t d = t.domain <- d
-let seen t = t.seen
-let sampled t = t.sampled
-let capacity t = Array.length t.buf
-let length t = t.len
-let dropped t = t.dropped
+let set_rate (t : t) r =
+  if r < 0 then invalid_arg "Flight.set_rate" else t.rate <- r
+
+let seed (t : t) = t.seed
+let domain (t : t) = t.domain
+let set_domain (t : t) d = t.domain <- d
+let seen (t : t) = t.seen
+let sampled (t : t) = t.sampled
+let capacity (t : t) = Ring.capacity t.flight
+let length (t : t) = Ring.length t.flight
+let dropped (t : t) = Ring.dropped t.flight
 
 (* splitmix64-style finalizer over OCaml's native ints (overflow wraps,
    which is exactly what a mixer wants).  Kept local so [observe] stays
@@ -96,7 +63,7 @@ let mark_for ~seed ~rate n =
 
 (* Ingress admission: count the arrival and decide.  Returns the mark to
    stamp on the mbuf (0 = not sampled). *)
-let admit t =
+let admit (t : t) =
   if t.rate = 0 then 0
   else begin
     t.seen <- t.seen + 1;
@@ -109,64 +76,46 @@ let admit t =
    the shared frame plan ([mark_for] on the plan seed) rather than this
    recorder's own arrival counter, then tallies the outcome here so
    seen/sampled stay meaningful per domain (and sum under merge). *)
-let tally t ~sampled =
+let tally (t : t) ~sampled =
   t.seen <- t.seen + 1;
   if sampled then t.sampled <- t.sampled + 1
 
-let push t r =
-  let cap = Array.length t.buf in
-  if t.len = cap then t.dropped <- t.dropped + 1 else t.len <- t.len + 1;
-  t.buf.(t.head) <- Some r;
-  t.head <- (t.head + 1) mod cap
-
-let note t ~pkt ~at_ns ~dur_ns stage =
-  push t { pkt; domain = t.domain; at_ns; dur_ns; stage }
-
-(* Ingress: remember the arrival timestamp (for ingress→raise and
-   end-to-end latencies) and record the stage.  The origin table is
-   bounded: delivery/drop sites call [finish], and a safety valve wipes
-   it if silently-dying packets ever accumulate. *)
-let ingress t ~pkt ~at_ns ~dev =
-  if Hashtbl.length t.origins > 4 * Array.length t.buf then
-    Hashtbl.reset t.origins;
-  Hashtbl.replace t.origins pkt at_ns;
-  note t ~pkt ~at_ns ~dur_ns:0 (Ingress { dev })
-
-let origin t ~pkt = Hashtbl.find_opt t.origins pkt
-
-let since_ingress t ~pkt ~at_ns =
-  match Hashtbl.find_opt t.origins pkt with
-  | Some o when at_ns >= o -> at_ns - o
-  | _ -> 0
-
-let finish t ~pkt = Hashtbl.remove t.origins pkt
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0;
+let clear (t : t) =
+  Ring.clear t.flight;
   t.seen <- 0;
-  t.sampled <- 0;
-  Hashtbl.reset t.origins
+  t.sampled <- 0
 
-(* Oldest retained record first. *)
-let records t =
-  let cap = Array.length t.buf in
-  let start = (t.head - t.len + cap) mod cap in
-  List.init t.len (fun i ->
-      match t.buf.((start + i) mod cap) with
-      | Some r -> r
-      | None -> assert false)
+(* The stages whose duration is the latency since the packet's ingress;
+   a cache-replayed raise counts as a raise. *)
+let since_ingress : Trace.event -> bool = function
+  | Raise _ | Cache_hit _ | Queue_wait _ | Deliver _ | Drop _ -> true
+  | _ -> false
+
+(* Oldest retained record first.  Each since-ingress stage is measured
+   from the latest [Ingress] of the same packet in the same domain that
+   precedes it — the ring is in emission order, so one pass suffices. *)
+let records (t : t) =
+  let origins = Hashtbl.create 64 in
+  List.map
+    (fun r ->
+      match r.event with
+      | Ingress _ ->
+          Hashtbl.replace origins (r.pkt, r.domain) r.at_ns;
+          r
+      | e when since_ingress e -> (
+          match Hashtbl.find_opt origins (r.pkt, r.domain) with
+          | Some o when r.at_ns >= o -> { r with dur_ns = r.at_ns - o }
+          | _ -> r)
+      | _ -> r)
+    (Ring.to_list t.flight)
 
 (* Fold [src]'s records into [into], preserving each record's home
-   domain (stamped at [note] time).  Counters accumulate so a merged
+   domain (stamped at emission).  Counters accumulate so a merged
    endpoint reports fleet-wide sampling totals. *)
-let merge_into ~into src =
-  List.iter (fun r -> push into r) (records src);
+let merge_into ~(into : t) (src : t) =
+  Ring.merge_into ~into:into.flight src.flight;
   into.seen <- into.seen + src.seen;
-  into.sampled <- into.sampled + src.sampled;
-  into.dropped <- into.dropped + src.dropped
+  into.sampled <- into.sampled + src.sampled
 
 (* Group records into per-packet timelines: packet ids ascending, each
    packet's records in emission order.  Records from different domains
@@ -186,58 +135,52 @@ let timelines recs =
   List.sort compare !ids
   |> List.map (fun pkt -> (pkt, List.rev !(Hashtbl.find tbl pkt)))
 
-let stage_name = function
-  | Ingress _ -> "ingress"
-  | Raise _ -> "raise"
-  | Handler _ -> "handler"
-  | Queue_wait _ -> "queue_wait"
-  | Hop _ -> "hop"
-  | Deliver _ -> "deliver"
-  | Drop _ -> "drop"
+let stage_name : Trace.event -> string = function
+  | Raise _ | Cache_hit _ -> "raise"
+  | Handler_run _ | Ephemeral_commit _ | Terminated _ -> "handler"
+  | Handoff _ -> "hop"
+  | e -> Trace.kind e
 
-let stage_detail = function
-  | Ingress { dev } | Queue_wait { dev } -> dev
-  | Raise { event } -> event
-  | Handler { event; label } -> event ^ "." ^ label
-  | Hop { from_domain; to_domain } ->
+let stage_detail : Trace.event -> string = function
+  | Handler_run { event; label; _ }
+  | Ephemeral_commit { event; label; _ }
+  | Terminated { event; label; _ } ->
+      event ^ "." ^ label
+  | Handoff { from_domain; to_domain; _ } ->
       Printf.sprintf "d%d->d%d" from_domain to_domain
-  | Deliver { scope } -> scope
   | Drop { scope; reason } -> scope ^ ":" ^ reason
+  | e -> Trace.scope e
 
-let pp_stage ppf s =
-  match s with
-  | Ingress { dev } -> Fmt.pf ppf "ingress %s" dev
-  | Raise { event } -> Fmt.pf ppf "raise %s" event
-  | Handler { event; label } -> Fmt.pf ppf "handler %s.%s" event label
-  | Queue_wait { dev } -> Fmt.pf ppf "queue_wait %s" dev
-  | Hop { from_domain; to_domain } ->
+let pp_stage ppf (e : Trace.event) =
+  match e with
+  | Handoff { from_domain; to_domain; _ } ->
       Fmt.pf ppf "hop domain%d -> domain%d" from_domain to_domain
-  | Deliver { scope } -> Fmt.pf ppf "deliver %s" scope
   | Drop { scope; reason } -> Fmt.pf ppf "drop %s (%s)" scope reason
+  | e -> Fmt.pf ppf "%s %s" (stage_name e) (stage_detail e)
 
 let pp_record ppf r =
   Fmt.pf ppf "pkt=%d d%d @%dns +%dns %a" r.pkt r.domain r.at_ns r.dur_ns
-    pp_stage r.stage
+    pp_stage r.event
 
 let pp_timeline ppf (pkt, recs) =
   Fmt.pf ppf "pkt %d:@." pkt;
   List.iter
-    (fun (r : record) ->
+    (fun r ->
       Fmt.pf ppf "  [domain%d t=%-10d +%-8d] %a@." r.domain r.at_ns r.dur_ns
-        pp_stage r.stage)
+        pp_stage r.event)
     recs
 
 let record_to_json r =
   Printf.sprintf
     "{\"pkt\": %d, \"domain\": %d, \"at_ns\": %d, \"dur_ns\": %d, \"stage\": \
      \"%s\", \"detail\": \"%s\"}"
-    r.pkt r.domain r.at_ns r.dur_ns (stage_name r.stage)
-    (stage_detail r.stage)
+    r.pkt r.domain r.at_ns r.dur_ns (stage_name r.event)
+    (stage_detail r.event)
 
 let records_to_json recs =
   "[" ^ String.concat ", " (List.map record_to_json recs) ^ "]"
 
-let to_json t =
+let to_json (t : t) =
   Printf.sprintf
     "{\n\
     \  \"seed\": %d,\n\
@@ -247,5 +190,5 @@ let to_json t =
     \  \"dropped\": %d,\n\
     \  \"records\": %s\n\
      }\n"
-    t.seed t.rate t.seen t.sampled t.dropped
+    t.seed t.rate t.seen t.sampled (dropped t)
     (records_to_json (records t))

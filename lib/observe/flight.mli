@@ -1,47 +1,40 @@
-(** Packet flight recorder: sampled end-to-end latency timelines.
+(** Packet flight recorder: the sampled side of a trace endpoint.
 
-    A flight endpoint makes deterministic 1-in-N ingress sampling
-    decisions, hands out packet ids carried on the mbuf trace word
-    ([Packet.Mbuf.mark]), and collects per-stage latency records into a
-    bounded ring.  The sampled set is a pure function of [(seed, rate)]
-    and arrival ordinals, so a run is reproducible record-for-record.
+    A flight recorder {e is} a {!Trace.t}: its sink sees every span,
+    and its flight ring keeps the {!Trace.event}s of sampled packets as
+    {!record}s.  This module makes the deterministic 1-in-N ingress
+    sampling decisions that hand out packet ids (carried on the mbuf,
+    [Packet.Mbuf.mark]) and reads the ring back as per-packet
+    timelines.  The sampled set is a pure function of [(seed, rate)]
+    and arrival ordinals, so a run is reproducible record for record.
+
+    Latencies since ingress (raise, queue wait, delivery, drop) are not
+    stored: {!records} derives them from the same packet's [Ingress]
+    record in the same domain, so no per-packet state outlives the
+    ring.  A record whose [Ingress] was overwritten reads 0.
 
     One endpoint per kernel (per domain in the parallel datapath);
     merge per-domain rings with {!merge_into} — records keep the domain
-    that emitted them, so cross-domain timelines attribute each stage
-    to its home domain.  Disabled ([rate = 0]) the recorder costs one
-    load + branch per site. *)
+    that emitted them, so cross-domain timelines attribute each event
+    to its home domain. *)
 
-type stage =
-  | Ingress of { dev : string }
-  | Raise of { event : string }
-      (** [dur_ns] is latency from ingress to this raise. *)
-  | Handler of { event : string; label : string }
-      (** [dur_ns] is the handler's modelled run time. *)
-  | Queue_wait of { dev : string }
-      (** [dur_ns] is time spent in the admission deferral queue. *)
-  | Hop of { from_domain : int; to_domain : int }
-      (** Cross-domain SPSC ring handoff, emitted by the sender. *)
-  | Deliver of { scope : string }
-      (** [dur_ns] is end-to-end latency from ingress. *)
-  | Drop of { scope : string; reason : string }
+type t = Trace.t
 
-type record = {
-  pkt : int;  (** packet id, as stamped on the mbuf (always > 0) *)
-  domain : int;  (** domain that emitted the record *)
-  at_ns : int;  (** that domain's virtual clock at emission *)
-  dur_ns : int;  (** stage latency; see per-stage docs *)
-  stage : stage;
+type record = Trace.record = {
+  pkt : int;
+  domain : int;
+  at_ns : int;
+  dur_ns : int;
+  event : Trace.event;
 }
 
-type t
-
 val create : ?capacity:int -> ?rate:int -> seed:int -> unit -> t
-(** [capacity] bounds the record ring (default 4096); [rate] is the
-    1-in-N sampling rate, 0 (default) meaning disabled. *)
+(** An endpoint with a [Null] sink.  [capacity] bounds the record ring
+    (default 4096); [rate] is the 1-in-N sampling rate, 0 (default)
+    meaning disabled. *)
 
 val enabled : t -> bool
-(** [rate t > 0].  Every emitter guards on this first. *)
+(** [rate t > 0]. *)
 
 val rate : t -> int
 val set_rate : t -> int -> unit
@@ -68,23 +61,6 @@ val tally : t -> sampled:bool -> unit
     {!mark_for} instead of {!admit}).  Keeps seen/sampled meaningful
     per domain; totals sum under {!merge_into}. *)
 
-val note : t -> pkt:int -> at_ns:int -> dur_ns:int -> stage -> unit
-(** Record one stage for a sampled packet.  Callers guard with
-    {!enabled} and [pkt > 0]. *)
-
-val ingress : t -> pkt:int -> at_ns:int -> dev:string -> unit
-(** Record the ingress stage and remember the arrival timestamp for
-    {!since_ingress}. *)
-
-val origin : t -> pkt:int -> int option
-(** Ingress timestamp for a live sampled packet, if known. *)
-
-val since_ingress : t -> pkt:int -> at_ns:int -> int
-(** Latency from ingress to [at_ns] (0 when the origin is unknown). *)
-
-val finish : t -> pkt:int -> unit
-(** Forget the ingress timestamp (call at delivery/drop). *)
-
 val seen : t -> int
 val sampled : t -> int
 val capacity : t -> int
@@ -96,7 +72,8 @@ val dropped : t -> int
 val clear : t -> unit
 
 val records : t -> record list
-(** Oldest retained record first. *)
+(** Oldest retained record first, with since-ingress latencies
+    derived. *)
 
 val merge_into : into:t -> t -> unit
 (** Fold [src]'s records (and seen/sampled/dropped totals) into [into],
@@ -107,8 +84,12 @@ val timelines : record list -> (int * record list) list
     emission order.  Cross-domain clocks are incomparable, so no
     timestamp sort is attempted. *)
 
-val stage_name : stage -> string
-val pp_stage : Format.formatter -> stage -> unit
+val stage_name : Trace.event -> string
+(** A record's stage: ["ingress"], ["raise"] (a dispatched or
+    cache-replayed raise), ["handler"], ["queue_wait"], ["hop"],
+    ["deliver"], ["drop"], else the event's {!Trace.kind}. *)
+
+val pp_stage : Format.formatter -> Trace.event -> unit
 val pp_record : Format.formatter -> record -> unit
 val pp_timeline : Format.formatter -> int * record list -> unit
 val records_to_json : record list -> string

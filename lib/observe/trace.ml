@@ -1,15 +1,17 @@
-(* Structured trace spans with pluggable sinks.
+(* The per-packet recorder: structured trace spans with pluggable sinks,
+   and a sampled ring of flight records in the same vocabulary.
 
-   The dispatcher (and devices, managers, ...) emit typed spans — raise,
-   index lookup, guard evaluation, handler run, ephemeral commit,
-   drop — each stamped with the simulated time, the event name and the
-   handler involved, so a packet's path through the protocol graph can
-   be reconstructed and asserted on.
+   Every per-packet site emits one typed event — raise, index lookup,
+   guard evaluation, handler run, ephemeral commit, ingress, queue wait,
+   delivery, drop, handoff — stamped with the simulated time, through
+   one [note] call on its kernel's endpoint.  The endpoint sends it to
+   the sink when the site is traced, and to the flight ring when the
+   packet's mark is sampled.
 
-   A trace endpoint owns one sink.  [Null] is the default and MUST be
-   free on the hot path: emitters are expected to guard span
-   construction with [if Trace.active tr then ...], so a disabled trace
-   costs one mutable-field load and a branch per site. *)
+   [Null] is the default sink and sampling starts off; both MUST be free
+   on the hot path: emitters guard event construction with
+   [if Trace.active tr || Trace.samples tr mark then ...], so a disabled
+   endpoint costs a field load and a branch per site. *)
 
 type event =
   | Raise of { event : string; candidates : int; indexed : bool }
@@ -41,12 +43,25 @@ type event =
   | Cache_invalidate of { event : string; reason : string }
   | Drop of { scope : string; reason : string }
   | Wire_fault of { link : string; fault : string; detail : string }
+  | Ingress of { dev : string }
+  | Queue_wait of { dev : string }
+  | Deliver of { scope : string }
   | Handoff of {
       op : string; (* "enqueue" | "self_drain" | "phase_b_drain" *)
       from_domain : int;
       to_domain : int;
       frames : int;
     }
+
+(* Defined before [span] so that an unqualified [{ at_ns; event }]
+   still builds a span. *)
+type record = {
+  pkt : int;
+  domain : int;
+  at_ns : int;
+  dur_ns : int;
+  event : event;
+}
 
 type span = { at_ns : int; event : event }
 
@@ -61,6 +76,9 @@ let kind = function
   | Cache_invalidate _ -> "cache_invalidate"
   | Drop _ -> "drop"
   | Wire_fault _ -> "wire_fault"
+  | Ingress _ -> "ingress"
+  | Queue_wait _ -> "queue_wait"
+  | Deliver _ -> "deliver"
   | Handoff _ -> "handoff"
 
 (* The event (or scope) a span belongs to — protocol-graph spans carry
@@ -75,8 +93,9 @@ let scope = function
   | Cache_hit { event; _ }
   | Cache_invalidate { event; _ } ->
       event
-  | Drop { scope; _ } -> scope
+  | Drop { scope; _ } | Deliver { scope } -> scope
   | Wire_fault { link; _ } -> link
+  | Ingress { dev } | Queue_wait { dev } -> dev
   | Handoff { from_domain; _ } -> Printf.sprintf "domain%d" from_domain
 
 let pp_ns ppf t =
@@ -111,62 +130,46 @@ let pp_event ppf = function
   | Wire_fault { link; fault; detail } ->
       Fmt.pf ppf "wire_fault %s %s%s" link fault
         (if detail = "" then "" else " " ^ detail)
+  | Ingress { dev } -> Fmt.pf ppf "ingress %s" dev
+  | Queue_wait { dev } -> Fmt.pf ppf "queue_wait %s" dev
+  | Deliver { scope } -> Fmt.pf ppf "deliver %s" scope
   | Handoff { op; from_domain; to_domain; frames } ->
       Fmt.pf ppf "handoff %s domain%d -> domain%d frames=%d" op from_domain
         to_domain frames
 
 let pp_span ppf s = Fmt.pf ppf "[%a] %a" pp_ns s.at_ns pp_event s.event
 
-(* --- in-memory ring-buffer sink --------------------------------------- *)
+module Ring = Ring
 
-module Ring = struct
-  type t = {
-    buf : span option array;
-    mutable head : int; (* next write slot *)
-    mutable len : int;
-    mutable dropped : int; (* overwritten spans *)
+(* --- endpoints ---------------------------------------------------------- *)
+
+type sink = Null | Stderr | Ring of span Ring.t | Fn of (span -> unit)
+
+type t = {
+  mutable sink : sink;
+  seed : int;
+  mutable rate : int; (* 0 = sampling off, N = sample 1-in-N *)
+  mutable domain : int;
+  mutable seen : int;
+  mutable sampled : int;
+  flight : record Ring.t;
+}
+
+let create ?(sink = Null) () =
+  {
+    sink;
+    seed = 0;
+    rate = 0;
+    domain = 0;
+    seen = 0;
+    sampled = 0;
+    flight = Ring.create ~capacity:4096 ();
   }
 
-  let create ?(capacity = 1024) () =
-    if capacity <= 0 then invalid_arg "Trace.Ring.create: capacity";
-    { buf = Array.make capacity None; head = 0; len = 0; dropped = 0 }
-
-  let capacity t = Array.length t.buf
-  let length t = t.len
-  let dropped t = t.dropped
-
-  let clear t =
-    Array.fill t.buf 0 (Array.length t.buf) None;
-    t.head <- 0;
-    t.len <- 0;
-    t.dropped <- 0
-
-  let push t s =
-    let cap = Array.length t.buf in
-    if t.len = cap then t.dropped <- t.dropped + 1 else t.len <- t.len + 1;
-    t.buf.(t.head) <- Some s;
-    t.head <- (t.head + 1) mod cap
-
-  (* Oldest retained span first. *)
-  let to_list t =
-    let cap = Array.length t.buf in
-    let start = (t.head - t.len + cap) mod cap in
-    List.init t.len (fun i ->
-        match t.buf.((start + i) mod cap) with
-        | Some s -> s
-        | None -> assert false)
-end
-
-(* --- sinks and endpoints ---------------------------------------------- *)
-
-type sink = Null | Stderr | Ring of Ring.t | Fn of (span -> unit)
-
-type t = { mutable sink : sink }
-
-let create ?(sink = Null) () = { sink }
 let set_sink t s = t.sink <- s
 let sink t = t.sink
 let[@inline] active t = match t.sink with Null -> false | _ -> true
+let[@inline] samples t mark = mark > 0 && t.rate > 0
 
 let emit t span =
   match t.sink with
@@ -174,3 +177,18 @@ let emit t span =
   | Stderr -> Fmt.epr "%a@." pp_span span
   | Ring r -> Ring.push r span
   | Fn f -> f span
+
+(* A handler run's duration is known at emission; since-ingress
+   latencies are derived when the records are read. *)
+let duration = function
+  | Handler_run { duration_ns; _ }
+  | Ephemeral_commit { duration_ns; _ }
+  | Terminated { duration_ns; _ } ->
+      duration_ns
+  | _ -> 0
+
+let note t ~traced ~mark ~at_ns event =
+  if traced then emit t { at_ns; event };
+  if samples t mark then
+    Ring.push t.flight
+      { pkt = mark; domain = t.domain; at_ns; dur_ns = duration event; event }

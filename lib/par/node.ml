@@ -189,30 +189,29 @@ let worker ~plan ~domains ~flowcache ~flight_rate ~batch ~swap_every ~rings
   let outgoing = rings.(me) in
   let kernel = Netsim.Host.kernel w.host in
   let reg = Spin.Kernel.registry kernel in
+  (* This node's trace endpoint, which keeps its flight records.
+     Sampling decisions do NOT come from its own [admit] dice: every
+     injected frame is pre-stamped from the plan ordinal via the pure
+     [mark_for] (seeded by the plan), so all domains agree on the
+     sampled set and a forwarded frame keeps its packet id on the owner
+     node without shipping the mark through the ring.  Unsampled frames
+     are stamped [-1] so the device ingress doesn't re-roll with
+     domain-local state. *)
   let tr = Spin.Kernel.trace kernel in
-  (* This node's flight recorder.  Sampling decisions do NOT come from
-     its own [admit] dice: every injected frame is pre-stamped from the
-     plan ordinal via the pure [mark_for] (seeded by the plan), so all
-     domains agree on the sampled set and a forwarded frame keeps its
-     packet id on the owner node without shipping the mark through the
-     ring.  Unsampled frames are stamped [-1] so the device ingress
-     doesn't re-roll with domain-local state. *)
-  let fl = Spin.Kernel.flight kernel in
   if flight_rate > 0 then begin
-    Observe.Flight.set_rate fl flight_rate;
-    Observe.Flight.set_domain fl me
+    Observe.Flight.set_rate tr flight_rate;
+    Observe.Flight.set_domain tr me
   end;
   let mark_of f = Observe.Flight.mark_for ~seed:plan.Rss.seed ~rate:flight_rate f.Rss.pkt in
   let ring_enqueues = Observe.Registry.counter reg "par.ring.enqueues" in
   let ring_self_drains = Observe.Registry.counter reg "par.ring.self_drains" in
   let ring_phase_b = Observe.Registry.counter reg "par.ring.phase_b_drains" in
-  let handoff_span op ~from_domain ~to_domain ~frames =
-    if Observe.Trace.active tr then
-      Observe.Trace.emit tr
-        {
-          Observe.Trace.at_ns = Sim.Stime.to_ns (Sim.Engine.now w.engine);
-          event = Observe.Trace.Handoff { op; from_domain; to_domain; frames };
-        }
+  let handoff_span op ~mark ~from_domain ~to_domain ~frames =
+    let traced = Observe.Trace.active tr in
+    if traced || Observe.Trace.samples tr mark then
+      Observe.Trace.note tr ~traced ~mark
+        ~at_ns:(Sim.Stime.to_ns (Sim.Engine.now w.engine))
+        (Observe.Trace.Handoff { op; from_domain; to_domain; frames })
   in
   let local = ref [] and nlocal = ref 0 in
   let batch_flows = Hashtbl.create 64 in
@@ -250,7 +249,7 @@ let worker ~plan ~domains ~flowcache ~flight_rate ~batch ~swap_every ~rings
     let m = Mbuf.of_string f.Rss.bytes in
     if flight_rate > 0 then begin
       let id = mark_of f in
-      Observe.Flight.tally fl ~sampled:(id > 0);
+      Observe.Flight.tally tr ~sampled:(id > 0);
       Mbuf.set_mark m (if id = 0 then -1 else id)
     end;
     local := Mbuf.ro m :: !local;
@@ -283,10 +282,10 @@ let worker ~plan ~domains ~flowcache ~flight_rate ~batch ~swap_every ~rings
             (match op with
             | Some ("self_drain" as op) ->
                 ring_self_drains := !ring_self_drains + k;
-                handoff_span op ~from_domain:j ~to_domain:me ~frames:k
+                handoff_span op ~mark:0 ~from_domain:j ~to_domain:me ~frames:k
             | Some ("phase_b_drain" as op) ->
                 ring_phase_b := !ring_phase_b + k;
-                handoff_span op ~from_domain:j ~to_domain:me ~frames:k
+                handoff_span op ~mark:0 ~from_domain:j ~to_domain:me ~frames:k
             | Some _ | None -> ());
           n := !n + k
         end)
@@ -310,18 +309,12 @@ let worker ~plan ~domains ~flowcache ~flight_rate ~batch ~swap_every ~rings
             Sdomain.cpu_relax ()
           done;
           incr ring_enqueues;
-          handoff_span "enqueue" ~from_domain:me ~to_domain:owner ~frames:1;
-          (* The hop is charged to the sender: its clock, its domain id
-             in the record.  The owner's ingress/handler stages follow
-             under the same packet id once it drains the ring. *)
-          if flight_rate > 0 && Observe.Flight.enabled fl then begin
-            let id = mark_of f in
-            if id > 0 then
-              Observe.Flight.note fl ~pkt:id
-                ~at_ns:(Sim.Stime.to_ns (Sim.Engine.now w.engine))
-                ~dur_ns:0
-                (Observe.Flight.Hop { from_domain = me; to_domain = owner })
-          end
+          (* A sampled frame's hop is recorded by the sender: its
+             clock, its domain id in the record.  The owner's ingress
+             and handler records follow under the same packet id once
+             it drains the ring. *)
+          handoff_span "enqueue" ~mark:(mark_of f) ~from_domain:me
+            ~to_domain:owner ~frames:1
         end;
         if !steered land (batch - 1) = 0 then ignore (drain_incoming ())
       end)
@@ -365,7 +358,7 @@ let worker ~plan ~domains ~flowcache ~flight_rate ~batch ~swap_every ~rings
     swaps = !(w.swaps);
     busy_us = Sim.Stime.to_us (Sim.Cpu.busy_time w.cpu);
     registry = reg;
-    flight = fl;
+    flight = tr;
   }
 
 type stats = {

@@ -41,7 +41,7 @@ type domain_stats = {
   busy_us : float;  (** this node's simulated CPU busy time *)
   registry : Observe.Registry.t;  (** the node's kernel registry *)
   flight : Observe.Flight.t;
-      (** the node's flight recorder (stage records it emitted) *)
+      (** the node's trace endpoint (the flight records it emitted) *)
 }
 
 type stats = {
@@ -72,7 +72,8 @@ type stats = {
   flight : Observe.Flight.t;
       (** per-domain flight recorders merged; each record keeps the
           domain that emitted it, so a forwarded packet's timeline shows
-          the steering node's [Hop] followed by the owner's stages *)
+          the steering node's [Handoff] followed by the owner's
+          records *)
 }
 
 val run :

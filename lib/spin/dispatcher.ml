@@ -43,11 +43,12 @@
    (per-event raise/index counters, per-handler guard hit/miss counters
    and run-latency histograms, ephemeral commit accounting — naming
    scheme in DESIGN.md) and always carries an [Observe.Trace] endpoint
-   whose sink defaults to [Null].  Span emission is guarded by
-   [Trace.active], so disabled tracing costs one load and branch per
-   site; counter updates are bare int-ref increments whether or not a
-   registry is attached (the refs are simply shared with the registry
-   when one is). *)
+   whose sink defaults to [Null].  Each raise and handler run makes one
+   [Trace.note] call carrying the payload's mark, guarded by
+   [Trace.active] and the mark, so disabled tracing and sampling cost a
+   load and a branch per site; counter updates are bare int-ref
+   increments whether or not a registry is attached (the refs are
+   simply shared with the registry when one is). *)
 
 type delivery = Interrupt | Thread
 
@@ -238,9 +239,6 @@ type t = {
   mutable introspectors : (unit -> event_info) list; (* newest first *)
   mutable tree_viewers : (unit -> string * tree_view option) list;
       (* per-event compiled-tree renderers, newest first *)
-  mutable flight : Observe.Flight.t option;
-      (* packet flight recorder; [None] (the default) costs one load +
-         branch per raise/handler site *)
   mutable staging : ((unit -> unit) * (unit -> unit)) list ref option;
       (* open staging scope: installs land here as (activate, cancel)
          thunks instead of entering their event tables, and become
@@ -284,7 +282,6 @@ let create ?registry ?trace ~cpu ~costs () =
     next_uid = 0;
     introspectors = [];
     tree_viewers = [];
-    flight = None;
     staging = None;
     retiring = None;
     swap_pending = 0;
@@ -309,8 +306,6 @@ let path_cache_misses t = !(t.pc_misses)
 let path_cache_invalidations t = !(t.pc_invalidations)
 let path_cache_evictions t = !(t.pc_evictions)
 let set_flow_cache t on = t.fcache <- on
-let set_flight t fl = t.flight <- fl
-let flight t = t.flight
 
 let now_ns t = Sim.Stime.to_ns (Sim.Engine.now (Sim.Cpu.engine t.cpu))
 
@@ -458,7 +453,7 @@ type 'a event = {
          [d]'s value or -1, allocating nothing *)
   mutable scratch : int array;                (* per-event key-value probe *)
   mutable sigfn : ('a -> string option) option; (* flow signature, roots only *)
-  mutable markfn : ('a -> int) option;        (* payload's flight-record mark *)
+  mutable markfn : ('a -> int) option;        (* payload's packet mark *)
   entries : hop array Sharded.Cache.t;        (* flow signature -> chain *)
   mutable next_hid : int;
   label_gens : (string, int) Hashtbl.t;
@@ -546,7 +541,7 @@ let set_keyvfn ev ~dims kvf =
 
 let set_sigfn ev sf = ev.sigfn <- Some sf
 
-(* Like [set_sigfn], purely observational: extracting the flight mark
+(* Like [set_sigfn], purely observational: extracting the packet mark
    cannot change what a raise delivers, so no generation bump. *)
 let set_markfn ev mf = ev.markfn <- Some mf
 let generation ev = !(ev.gen)
@@ -1109,41 +1104,23 @@ let quarantine_check ev h =
         uninstall_h ev h
       end
 
-(* Flight-recorder stage emission.  The mark ([ev.markfn]) reads the
-   packet id stamped on the mbuf at ingress; 0 means not sampled, so an
-   unsampled packet pays one closure call and compare per site and a
-   detached/disabled recorder pays one load and branch. *)
-let flight_note_raise d ev v =
-  match (d.flight, ev.markfn) with
-  | Some fl, Some mf when Observe.Flight.enabled fl ->
-      let pkt = mf v in
-      if pkt > 0 then begin
-        let at_ns = now_ns d in
-        Observe.Flight.note fl ~pkt ~at_ns
-          ~dur_ns:(Observe.Flight.since_ingress fl ~pkt ~at_ns)
-          (Observe.Flight.Raise { event = ev.ename })
-      end
-  | _ -> ()
-
-let flight_note_run d ev v h ~dur_ns =
-  match (d.flight, ev.markfn) with
-  | Some fl, Some mf when Observe.Flight.enabled fl ->
-      let pkt = mf v in
-      if pkt > 0 then
-        Observe.Flight.note fl ~pkt ~at_ns:(now_ns d) ~dur_ns
-          (Observe.Flight.Handler { event = ev.ename; label = h.label })
-  | _ -> ()
+(* The payload's packet mark ([ev.markfn] reads the id stamped on the
+   mbuf at ingress; 0 means not sampled).  Read only while sampling is
+   on, so a disabled recorder pays one load and branch per site. *)
+let mark_of d ev v =
+  if Observe.Flight.enabled d.trace then
+    match ev.markfn with Some mf -> mf v | None -> 0
+  else 0
 
 (* One run's ledger entry: run count, modelled CPU, mbufs allocated since
-   [a0], the latency histogram and the flight record. *)
-let note_run d ev v h ~run_ns ~a0 =
+   [a0] and the latency histogram. *)
+let note_run h ~run_ns ~a0 =
   incr h.hs.h_runs;
   h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
   h.hs.h_allocs := !(h.hs.h_allocs) + (Packet.Mbuf.total_allocated () - a0);
-  (match h.hs.h_lat with
+  match h.hs.h_lat with
   | Some hist -> Observe.Histogram.record hist run_ns
-  | None -> ());
-  flight_note_run d ev v h ~dur_ns:run_ns
+  | None -> ()
 
 (* --- recording bookkeeping --------------------------------------------
    A recording commits only once the delivery has fully drained: every
@@ -1208,9 +1185,10 @@ let handler_leave d h =
    raise's flow and priority context: a plain handler's [fn], or the
    commit of the ephemeral plan [eph] its body returned at delivery
    time.  A fault is contained ([fault]); the run then gets its ledger
-   entry ([run_ns] of modelled CPU), its span and its quarantine check.
-   No per-handler span is emitted while replaying: the root's
-   [Cache_hit] span stands for the whole chain. *)
+   entry ([run_ns] of modelled CPU), its trace note and its quarantine
+   check.  The note reaches the sink except while replaying — the
+   root's [Cache_hit] span stands for the whole chain — and the flight
+   ring whenever the packet is sampled. *)
 let invoke ev v h flow over ~run_ns eph =
   if h.live then begin
     let d = ev.disp in
@@ -1224,9 +1202,10 @@ let invoke ev v h flow over ~run_ns eph =
     (match (h.kind, eph) with
     | Plain { fn; _ }, _ ->
         (try fn v with e when extension_fault e -> fault ev h);
-        note_run d ev v h ~run_ns ~a0;
-        if traced then
-          emit_span d
+        note_run h ~run_ns ~a0;
+        let mark = mark_of d ev v in
+        if traced || mark > 0 then
+          Observe.Trace.note d.trace ~traced ~mark ~at_ns:(now_ns d)
             (Observe.Trace.Handler_run
                {
                  event = ev.ename;
@@ -1240,16 +1219,17 @@ let invoke ev v h flow over ~run_ns eph =
         | r ->
             incr d.eph_commits;
             d.eph_actions := !(d.eph_actions) + r.Ephemeral.committed;
-            note_run d ev v h ~run_ns ~a0;
+            note_run h ~run_ns ~a0;
             if r.Ephemeral.terminated then begin
               incr d.eph_terminated;
               incr h.hs.h_terms
             end;
-            if traced then begin
+            let mark = mark_of d ev v in
+            if traced || mark > 0 then begin
               let event = ev.ename and hid = h.hid and label = h.label in
               let committed = r.Ephemeral.committed
               and total = r.Ephemeral.total in
-              emit_span d
+              Observe.Trace.note d.trace ~traced ~mark ~at_ns:(now_ns d)
                 (if r.Ephemeral.terminated then
                    Observe.Trace.Terminated
                      { event; hid; label; committed; total; duration_ns = run_ns }
@@ -1344,18 +1324,18 @@ let raise_tree ?over ev v flow =
         ev.tr_resid_evals := !(ev.tr_resid_evals) + n_resid;
         (tr.tr_visited, true)
   in
-  if Observe.Trace.active d.trace then begin
-    emit_span d
+  let traced = Observe.Trace.active d.trace and mark = mark_of d ev v in
+  if traced || mark > 0 then
+    Observe.Trace.note d.trace ~traced ~mark ~at_ns:(now_ns d)
       (Observe.Trace.Raise
          { event = ev.ename; candidates = n_exact + n_resid; indexed });
-    match plan with
-    | Tree _ ->
-        emit_span d
-          (Observe.Trace.Index_lookup
-             { event = ev.ename; keys = visited; candidates = n_exact + n_resid })
-    | Bare _ -> ()
-  end;
-  flight_note_raise d ev v;
+  (if traced then
+     match plan with
+     | Tree _ ->
+         emit_span d
+           (Observe.Trace.Index_lookup
+              { event = ev.ename; keys = visited; candidates = n_exact + n_resid })
+     | Bare _ -> ());
   let extra_gcost =
     Array.fold_left
       (fun acc h -> Sim.Stime.add acc h.gcost)
@@ -1513,15 +1493,15 @@ let replay_start ev v sg hops =
   let d = ev.disp in
   incr d.pc_hits;
   incr ev.ev_cached;
-  if Observe.Trace.active d.trace then begin
+  let traced = Observe.Trace.active d.trace and mark = mark_of d ev v in
+  if traced || mark > 0 then begin
     let handlers =
       Array.fold_left (fun n hop -> n + List.length hop.hop_hids) 0 hops
     in
-    emit_span d
+    Observe.Trace.note d.trace ~traced ~mark ~at_ns:(now_ns d)
       (Observe.Trace.Cache_hit
          { event = ev.ename; hops = Array.length hops; handlers })
   end;
-  flight_note_raise d ev v;
   let rp =
     {
       rp_hops = hops;

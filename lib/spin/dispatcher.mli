@@ -137,22 +137,16 @@ val set_sigfn : 'a event -> ('a -> string option) -> unit
     with equal signatures must be indistinguishable to every
     [~cacheable] guard along any chain the raise can take. *)
 
-(** {1 Flight recorder}
-
-    When a {!Observe.Flight} endpoint is attached and enabled, raises
-    and handler runs on events that declared a mark extractor
-    ({!set_markfn}) emit per-stage latency records for packets sampled
-    at ingress (mbuf mark [> 0]).  Unsampled packets cost one closure
-    call and compare per site; a detached or disabled recorder costs
-    one load and branch. *)
-
-val set_flight : t -> Observe.Flight.t option -> unit
-val flight : t -> Observe.Flight.t option
+(** {1 Packet marks} *)
 
 val set_markfn : 'a event -> ('a -> int) -> unit
-(** Declare how to read the flight-record mark (the sampled packet id,
+(** Declare how to read the packet's mark (the sampled packet id,
     0 = untraced) from a payload — protocol-graph nodes read
-    [Packet.Mbuf.mark].  Purely observational; does not bump the
+    [Packet.Mbuf.mark].  Each raise and handler run on the event then
+    passes the mark with its one {!Observe.Trace.note} call, so the
+    trace endpoint's flight ring ({!Observe.Flight}) records it for a
+    sampled packet.  The extractor runs only while the endpoint's
+    sampling is on; purely observational, it does not bump the
     event's generation. *)
 
 val touch : _ event -> unit

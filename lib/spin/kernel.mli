@@ -14,9 +14,9 @@ val create :
     metrics are published; [~observe:false] keeps the dispatcher
     detached — counters still accumulate privately, histograms are not
     recorded (the baseline for overhead benchmarks).  [flight_seed]
-    seeds the packet flight recorder's sampling decisions (default: a
-    deterministic hash of [name]); the recorder starts disabled — turn
-    it on with [Observe.Flight.set_rate (flight t) n]. *)
+    seeds the trace endpoint's packet sampling decisions (default: a
+    deterministic hash of [name]); sampling starts off — turn it on
+    with [Observe.Flight.set_rate (flight t) n]. *)
 
 val name : t -> string
 val engine : t -> Sim.Engine.t
@@ -29,22 +29,15 @@ val registry : t -> Observe.Registry.t
     [~observe:false]). *)
 
 val trace : t -> Observe.Trace.t
-(** The kernel's span endpoint; attach a sink with
-    [Observe.Trace.set_sink (trace k) (Ring ...)] to record dispatch
-    spans. *)
+(** The kernel's trace endpoint, shared with its dispatcher and
+    devices; attach a sink with
+    [Observe.Trace.set_sink (trace k) (Ring ...)] to record every
+    span. *)
 
 val flight : t -> Observe.Flight.t
-(** The kernel's packet flight recorder (shared with the dispatcher).
-    Disabled until [Observe.Flight.set_rate] sets a 1-in-N rate. *)
-
-val telemetry_every :
-  ?capacity:int -> t -> period:Sim.Stime.t ->
-  Observe.Telemetry.t * (unit -> unit)
-(** Start periodic time-series telemetry: every [period] of virtual
-    time the registry is snapshotted (delta-encoded) into a bounded
-    ring of [capacity] points.  Returns the series and a stop function.
-    The self-rearming tick keeps the engine non-quiescent — run the
-    engine with [~until], or stop the series before draining. *)
+(** The same endpoint as {!trace}, seen as the packet flight recorder.
+    Its flight ring stays empty until [Observe.Flight.set_rate] sets a
+    1-in-N sampling rate. *)
 
 val introspect : t -> string
 (** Human-readable dump of every event, its installed handlers (label,

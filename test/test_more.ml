@@ -1,6 +1,6 @@
-(* Additional edge-case coverage: Pctx, Graph bookkeeping, Kthread,
-   Trace, Ether manager policy details, Host helpers, and more property
-   tests on the substrates. *)
+(* Additional edge-case coverage: Pctx, Graph bookkeeping, Trace, Ether
+   manager policy details, Host helpers, and more property tests on the
+   substrates. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 let prop t = QCheck_alcotest.to_alcotest t
@@ -72,20 +72,6 @@ let graph_bookkeeping () =
   Alcotest.(check int) "edge removed" 0 (List.length (Plexus.Graph.edges g));
   Alcotest.(check (list string)) "nodes in creation order" [ "alpha"; "beta" ]
     (Plexus.Graph.nodes g)
-
-(* ---- Kthread ------------------------------------------------------------- *)
-
-let kthread_spawn () =
-  let engine = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create engine ~name:"c" in
-  let at = ref Sim.Stime.zero in
-  Spin.Kthread.spawn cpu ~create_cost:(us 10) (fun () ->
-      at := Sim.Engine.now engine);
-  Sim.Engine.run engine;
-  Alcotest.(check int) "creation cost charged" 10_000 (Sim.Stime.to_ns !at);
-  Spin.Kthread.run cpu ~cost:(us 5) (fun () -> at := Sim.Engine.now engine);
-  Sim.Engine.run engine;
-  Alcotest.(check int) "run charges cost" 15_000 (Sim.Stime.to_ns !at)
 
 (* ---- Ether manager policy --------------------------------------------------- *)
 
@@ -206,7 +192,6 @@ let suite =
         tc "metadata" pctx_metadata;
       ] );
     ("more.graph", [ tc "bookkeeping" graph_bookkeeping ]);
-    ("more.kthread", [ tc "spawn and run" kthread_spawn ]);
     ( "more.ether",
       [
         tc "policy and prio" ether_policy;

@@ -235,8 +235,8 @@ let merged_registry_labels () =
 (* With sampling on, the sampled set is exactly [Flight.mark_for] over
    the plan's arrival ordinals (every domain derives marks from the plan
    seed, so steering and owning domains agree without shipping ids
-   through the rings); forwarded frames carry a sender-side Hop record
-   followed by owner-side stages; and equivalence with the oracle still
+   through the rings); forwarded frames carry a sender-side Handoff
+   record followed by owner-side records; and equivalence with the oracle still
    holds — sampling must not perturb the datapath. *)
 let flight_cross_domain () =
   let rate = 4 in
@@ -267,8 +267,8 @@ let flight_cross_domain () =
       (fun (_, rs) ->
         List.exists
           (fun (r : Observe.Flight.record) ->
-            match r.Observe.Flight.stage with
-            | Observe.Flight.Hop _ -> true
+            match r.Observe.Flight.event with
+            | Observe.Trace.Handoff _ -> true
             | _ -> false)
           rs)
       tls
@@ -279,13 +279,13 @@ let flight_cross_domain () =
       let hop_to = ref (-1) in
       List.iter
         (fun (r : Observe.Flight.record) ->
-          match r.Observe.Flight.stage with
-          | Observe.Flight.Hop { from_domain; to_domain } ->
+          match r.Observe.Flight.event with
+          | Observe.Trace.Handoff { from_domain; to_domain; _ } ->
               Alcotest.(check int)
                 (Printf.sprintf "pkt %d hop emitted by sender" pkt)
                 from_domain r.Observe.Flight.domain;
               hop_to := to_domain
-          | (Observe.Flight.Ingress _ | Observe.Flight.Deliver _)
+          | (Observe.Trace.Ingress _ | Observe.Trace.Deliver _)
             when !hop_to >= 0 ->
               (* every stage after the handoff runs on the owning domain *)
               Alcotest.(check int)
