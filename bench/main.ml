@@ -802,7 +802,7 @@ let faults ~max_domains:_ =
    the host-time ratio (minimum of 5 interleaved rounds each) isolates
    what connection population costs the implementation: flow-table
    lookups, timer-wheel occupancy, path-cache pressure, allocator/GC
-   footprint.  The gate is the sharded-table and timer-wheel acceptance
+   footprint.  The gate is the flow-table and timer-wheel acceptance
    criterion. *)
 let scale ~max_domains:_ =
   let lo = 1_000 and hi = 100_000 and clients = 8 in

@@ -44,7 +44,7 @@ and t = {
   node : Graph.node;
   costs : Netsim.Costs.t;
   engine : Sim.Engine.t;
-  conns : (int * int * int, conn) Spin.Sharded.Table.t;
+  conns : (int * int * int, conn) Hashtbl.t;
   listeners : (int, listener) Hashtbl.t;
   bound : (int, int) Hashtbl.t;      (* port -> live bind refcount
                                         (listeners and explicit connects) *)
@@ -129,7 +129,7 @@ let make_env t conn_ref remote_ip_ref =
         (match !conn_ref with
         | Some c ->
             (match c.key with
-            | Some k -> Spin.Sharded.Table.remove t.conns k
+            | Some k -> Hashtbl.remove t.conns k
             | None -> ());
             if c.owns_port then begin
               c.owns_port <- false;
@@ -170,7 +170,7 @@ let register t conn ~remote:(rip, rport) remote_ip_ref =
   remote_ip_ref := rip;
   let key = (Proto.Ipaddr.to_int rip, rport, Endpoint.port conn.ep) in
   conn.key <- Some key;
-  Spin.Sharded.Table.replace t.conns key conn
+  Hashtbl.replace t.conns key conn
 
 let fresh_iss t =
   Proto.Tcp_wire.Seq.of_int (Sim.Rng.int (Sim.Engine.rng t.engine) 0x0fffffff)
@@ -202,7 +202,7 @@ let rx t ctx =
           h.Proto.Tcp_wire.src_port,
           h.Proto.Tcp_wire.dst_port )
       in
-      (match Spin.Sharded.Table.find_opt t.conns key with
+      (match Hashtbl.find_opt t.conns key with
       | Some conn -> Proto.Tcp.input conn.tcp v
       | None -> (
           match Hashtbl.find_opt t.listeners h.Proto.Tcp_wire.dst_port with
@@ -232,7 +232,7 @@ let create graph ip =
       node = Graph.node graph "tcp";
       costs;
       engine = Netsim.Host.engine (Graph.host graph);
-      conns = Spin.Sharded.Table.create ~shards:16 ~hash:Hashtbl.hash ();
+      conns = Hashtbl.create 16;
       listeners = Hashtbl.create 8;
       bound = Hashtbl.create 8;
       excluded = [];
@@ -245,9 +245,7 @@ let create graph ip =
   in
   let reg = Graph.registry graph in
   Observe.Registry.gauge reg "tcp.conns.occupancy" (fun () ->
-      Spin.Sharded.Table.length t.conns);
-  Observe.Registry.gauge reg "tcp.conns.max_shard" (fun () ->
-      Spin.Sharded.Table.max_shard_size t.conns);
+      Hashtbl.length t.conns);
   Observe.Registry.gauge reg "tcp.ephemeral.exhausted" (fun () ->
       t.counters.eph_exhausted);
   Graph.add_edge graph ~parent:(Ip_mgr.node ip) ~child:"tcp" ~label:"proto=6";
@@ -314,7 +312,7 @@ let alloc_ephemeral t ~dst:(dip, dport) =
     if tried >= range then None
     else
       let next = if p >= ephemeral_hi then ephemeral_lo else p + 1 in
-      if port_bound t p || Spin.Sharded.Table.mem t.conns (dip, dport, p) then
+      if port_bound t p || Hashtbl.mem t.conns (dip, dport, p) then
         scan (tried + 1) next
       else begin
         t.next_ephemeral <- next;
@@ -336,8 +334,7 @@ let connect t ~owner ?src_port ~dst ?(cfg = Proto.Tcp.default_config ()) () =
       if
         port_bound t port
         || Hashtbl.mem t.listeners port
-        || Spin.Sharded.Table.mem t.conns
-             (Proto.Ipaddr.to_int dst_ip, dst_port, port)
+        || Hashtbl.mem t.conns (Proto.Ipaddr.to_int dst_ip, dst_port, port)
       then Error (`Port_in_use port)
       else begin
         bind_port t port;

@@ -22,7 +22,7 @@
 
    - [scale_setup]: the million-flow steady-state probe.  It parks
      [live_flows] established-but-idle connections across the farm
-     (exercising the sharded connection tables, the per-destination
+     (exercising the connection table, the per-destination
      ephemeral allocator and the timer wheel at population), then
      returns a thunk that drives a burst of fresh request/response
      probes through the loaded datapath and reports the wire-frame
@@ -62,8 +62,7 @@ type farm = {
   devices : Netsim.Dev.t list;
 }
 
-let build ?(params = Netsim.Costs.ethernet ()) ?(flowcache = true) ?(seed = 7)
-    ~clients () =
+let build ?(params = Netsim.Costs.ethernet ()) ?(seed = 7) ~clients () =
   if clients < 1 || clients > 250 then
     invalid_arg "Farm.build: clients must be in [1, 250]";
   let engine = Sim.Engine.create ~seed () in
@@ -99,7 +98,7 @@ let build ?(params = Netsim.Costs.ethernet ()) ?(flowcache = true) ?(seed = 7)
       (Plexus.Graph.dispatcher (Plexus.Stack.graph stack))
       true
   in
-  if flowcache then enable_cache server;
+  enable_cache server;
   let server_arps = Plexus.Stack.arps server in
   let rng = Sim.Rng.create seed in
   let chains =
@@ -129,10 +128,8 @@ let build ?(params = Netsim.Costs.ethernet ()) ?(flowcache = true) ?(seed = 7)
           Apps.Forwarder.create fwd ~listen_port:service_port
             ~backend:(server_ip, service_port)
         in
-        if flowcache then begin
-          enable_cache client;
-          enable_cache fwd
-        end;
+        enable_cache client;
+        enable_cache fwd;
         { client; client_rng = Sim.Rng.split rng; fwd_ip = fip })
       raw
   in
@@ -175,9 +172,9 @@ type result = {
   evictions : int;  (* server path-cache evictions over the run *)
 }
 
-let run ?params ?flowcache ?(clients = 8) ?(seed = 7) ?(warmup = 50)
+let run ?params ?(clients = 8) ?(seed = 7) ?(warmup = 50)
     ?(requests = 400) ?(mean_gap_us = 400.) ?(shape = 1.2) ?(scale = 600.) () =
-  let f = build ?params ?flowcache ~seed ~clients () in
+  let f = build ?params ~seed ~clients () in
   let total = warmup + requests in
   let samples = ref [] in
   let issued = ref 0 and completed = ref 0 and errors = ref 0 in
@@ -234,11 +231,11 @@ let run ?params ?flowcache ?(clients = 8) ?(seed = 7) ?(warmup = 50)
     evictions = server_cache_evictions f;
   }
 
-let print ?params ?flowcache ?clients ?seed ?warmup ?requests ?mean_gap_us
-    ?shape ?scale () =
+let print ?params ?clients ?seed ?warmup ?requests ?mean_gap_us ?shape
+    ?scale () =
   let r =
-    run ?params ?flowcache ?clients ?seed ?warmup ?requests ?mean_gap_us
-      ?shape ?scale ()
+    run ?params ?clients ?seed ?warmup ?requests ?mean_gap_us ?shape ?scale
+      ()
   in
   Common.print_header
     "Server farm: heavy-tailed HTTP through per-client forwarders";

@@ -11,7 +11,7 @@
       [bench --scale-only] — park [live_flows] idle established
       connections, then time fresh request/response probes through the
       loaded datapath.  Per-packet host cost must stay flat as the
-      population grows 100x (the sharded-table/timer-wheel acceptance
+      population grows 100x (the flow-table/timer-wheel acceptance
       gate). *)
 
 val service_port : int
@@ -30,7 +30,6 @@ type result = {
 
 val run :
   ?params:Netsim.Costs.device ->
-  ?flowcache:bool ->
   ?clients:int ->
   ?seed:int ->
   ?warmup:int ->
@@ -48,7 +47,6 @@ val run :
 
 val print :
   ?params:Netsim.Costs.device ->
-  ?flowcache:bool ->
   ?clients:int ->
   ?seed:int ->
   ?warmup:int ->

@@ -13,7 +13,7 @@
 
    - Fault injection.  A [Faults.t] plan attached with [set_faults]
      renders a verdict for every frame as it leaves the wire: drop
-     (Bernoulli or Gilbert–Elliott burst loss, link-down windows),
+     (Bernoulli or Gilbert–Elliott burst loss),
      corrupt (one byte XORed in flight, so checksum verification up the
      stack is exercised for real), duplicate, or delay past later
      frames.  The plan is the only loss model.  Every injected drop is
@@ -394,8 +394,8 @@ let deliver_batch peer pkts =
    only decides; ownership is handled here: dropped frames are freed,
    duplicated frames are deep-copied before either copy is consumed,
    corruption copies-on-write so a shared chain is never scribbled on. *)
-let apply_faults t peer plan frame ~len ~now =
-  match Faults.verdict plan ~now ~len with
+let apply_faults t peer plan frame ~len =
+  match Faults.verdict plan ~len with
   | Faults.Drop why ->
       t.counters.wire_drops <- t.counters.wire_drops + 1;
       if tracing t then fault_span t ~fault:why ~detail:"";
@@ -475,8 +475,7 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
                         ~delay:t.params.Costs.prop_delay (fun () ->
                           deliver_to peer frame))
                | Some peer, Some plan ->
-                   apply_faults t peer plan frame ~len:(Mbuf.length frame)
-                     ~now:(Sim.Engine.now t.engine)))
+                   apply_faults t peer plan frame ~len:(Mbuf.length frame)))
       end)
 
 (* Raw wire occupancy for a packet of [len] bytes — used by experiments to

@@ -1,8 +1,7 @@
 (* Per-link fault plans.
 
    The plan is a pure decision procedure over an explicit RNG stream:
-   given "a frame of [len] bytes finishes its wire time at [now]", it
-   answers drop / deliver-with-modifications.  Determinism matters more
+   given "a frame of [len] bytes finishes its wire time", it answers drop / deliver-with-modifications.  Determinism matters more
    than realism here — the chaos harness replays seeds and reconciles
    injection counters against stack-observed drops, so every random
    draw comes from the plan's own [Sim.Rng] and nothing depends on
@@ -33,10 +32,8 @@ type t = {
   mutable dup_prob : float;
   mutable jitter_prob : float;
   mutable jitter_max : Sim.Stime.t;
-  mutable down : (Sim.Stime.t * Sim.Stime.t) list;
   (* injection counters *)
   mutable loss_drops : int;
-  mutable down_drops : int;
   mutable corruptions : int;
   mutable duplicates : int;
   mutable delays : int;
@@ -56,9 +53,7 @@ let create ?(name = "faults") ~rng () =
     dup_prob = 0.;
     jitter_prob = 0.;
     jitter_max = Sim.Stime.us 500;
-    down = [];
     loss_drops = 0;
-    down_drops = 0;
     corruptions = 0;
     duplicates = 0;
     delays = 0;
@@ -93,8 +88,6 @@ let set_jitter t ?(max_delay = Sim.Stime.us 500) p =
   t.jitter_prob <- p;
   t.jitter_max <- max_delay
 
-let set_down t windows = t.down <- windows
-
 type delivery = {
   corrupt_at : int option;
   xor_mask : int;
@@ -102,12 +95,6 @@ type delivery = {
 }
 
 type verdict = Drop of string | Deliver of delivery list
-
-let is_down t now =
-  List.exists
-    (fun (start, stop) ->
-      Sim.Stime.compare start now <= 0 && Sim.Stime.compare now stop < 0)
-    t.down
 
 (* One loss decision per frame.  A draw happens whenever the process is
    enabled, even if the state makes loss impossible, to keep the stream
@@ -151,45 +138,31 @@ let one_delivery t ~len =
   in
   { corrupt_at; xor_mask; extra_delay }
 
-let verdict t ~now ~len =
-  if is_down t now then begin
-    t.down_drops <- t.down_drops + 1;
-    Drop "down"
+let verdict t ~len =
+  let lost, why = loss_verdict t in
+  if lost then begin
+    t.loss_drops <- t.loss_drops + 1;
+    Drop why
   end
   else
-    let lost, why = loss_verdict t in
-    if lost then begin
-      t.loss_drops <- t.loss_drops + 1;
-      Drop why
-    end
-    else
-      let first = one_delivery t ~len in
-      let copies =
-        if t.dup_prob > 0. && Sim.Rng.float t.rng 1.0 < t.dup_prob then begin
-          t.duplicates <- t.duplicates + 1;
-          [ first; one_delivery t ~len ]
-        end
-        else [ first ]
-      in
-      Deliver copies
+    let first = one_delivery t ~len in
+    let copies =
+      if t.dup_prob > 0. && Sim.Rng.float t.rng 1.0 < t.dup_prob then begin
+        t.duplicates <- t.duplicates + 1;
+        [ first; one_delivery t ~len ]
+      end
+      else [ first ]
+    in
+    Deliver copies
 
-let loss_drops t = t.loss_drops
-let down_drops t = t.down_drops
-let drops t = t.loss_drops + t.down_drops
+let drops t = t.loss_drops
 let corruptions t = t.corruptions
 let duplicates t = t.duplicates
 let delays t = t.delays
-let injected t = drops t + t.corruptions + t.duplicates + t.delays
 
 let register t reg ~prefix =
   let g key f = Observe.Registry.gauge reg (prefix ^ "." ^ key) f in
   g "loss_drops" (fun () -> t.loss_drops);
-  g "down_drops" (fun () -> t.down_drops);
   g "corruptions" (fun () -> t.corruptions);
   g "duplicates" (fun () -> t.duplicates);
   g "delays" (fun () -> t.delays)
-
-let pp ppf t =
-  Fmt.pf ppf
-    "%s: %d lost, %d down, %d corrupted, %d duplicated, %d delayed" t.name
-    t.loss_drops t.down_drops t.corruptions t.duplicates t.delays

@@ -60,10 +60,6 @@ val set_jitter : t -> ?max_delay:Sim.Stime.t -> float -> unit
     reorder it behind later frames.  @raise Invalid_argument outside
     [0, 1]. *)
 
-val set_down : t -> (Sim.Stime.t * Sim.Stime.t) list -> unit
-(** Link outage windows: a frame whose wire transmission completes at
-    [now] with [start <= now < stop] for any window is dropped. *)
-
 (** What the wire should do with one copy of the frame. *)
 type delivery = {
   corrupt_at : int option;  (** flip the byte at this offset ... *)
@@ -76,27 +72,19 @@ type verdict =
   | Deliver of delivery list
       (** deliver one copy per element (two when duplicated) *)
 
-val verdict : t -> now:Sim.Stime.t -> len:int -> verdict
+val verdict : t -> len:int -> verdict
 (** Render the plan's decision for one frame of [len] bytes completing
-    wire transmission at [now].  Counts every injected fault. *)
+    wire transmission.  Counts every injected fault. *)
 
 (** Injection counters — what the plan has done so far. *)
 
-val loss_drops : t -> int
-val down_drops : t -> int
-
 val drops : t -> int
-(** [loss_drops + down_drops]. *)
+(** Frames dropped by the loss process. *)
 
 val corruptions : t -> int
 val duplicates : t -> int
 val delays : t -> int
 
-val injected : t -> int
-(** Total faults injected (drops + corruptions + duplicates + delays). *)
-
 val register : t -> Observe.Registry.t -> prefix:string -> unit
 (** Publish the injection counters as sampling gauges
-    ([<prefix>.loss_drops|down_drops|corruptions|duplicates|delays]). *)
-
-val pp : Format.formatter -> t -> unit
+    ([<prefix>.loss_drops|corruptions|duplicates|delays]). *)

@@ -143,7 +143,7 @@ module Ring = Ring
 
 (* --- endpoints ---------------------------------------------------------- *)
 
-type sink = Null | Stderr | Ring of span Ring.t | Fn of (span -> unit)
+type sink = Null | Stderr | Ring of span Ring.t
 
 type t = {
   mutable sink : sink;
@@ -176,7 +176,6 @@ let emit t span =
   | Null -> ()
   | Stderr -> Fmt.epr "%a@." pp_span span
   | Ring r -> Ring.push r span
-  | Fn f -> f span
 
 (* A handler run's duration is known at emission; since-ingress
    latencies are derived when the records are read. *)

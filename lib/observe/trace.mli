@@ -62,7 +62,7 @@ type event =
   | Wire_fault of { link : string; fault : string; detail : string }
       (** an injected link fault fired: [fault] is the fault class
           (["loss"], ["burst_loss"], ["corrupt"], ["duplicate"],
-          ["delay"], ["down"]), [link] the transmitting device *)
+          ["delay"]), [link] the transmitting device *)
   | Ingress of { dev : string }
       (** a frame arrived at device [dev]: a sampled packet's timeline
           starts here *)
@@ -113,7 +113,6 @@ type sink =
   | Null  (** discard; the zero-cost default *)
   | Stderr  (** print each span as text *)
   | Ring of span Ring.t  (** retain the last N spans in memory *)
-  | Fn of (span -> unit)  (** custom *)
 
 (** A trace endpoint.  The sampling fields are read and set through
     {!Flight}; emitters only call {!note}. *)

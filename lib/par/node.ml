@@ -11,6 +11,13 @@ module Sdomain = Stdlib.Domain
    below full protocol processing. *)
 let forward_cost = Sim.Stime.ns 500
 
+(* Local injection burst and ring-drain granularity; a power of two, so
+   the periodic drain can test [steered land (batch - 1)]. *)
+let batch = 32
+
+(* Frames each SPSC ring holds. *)
+let ring_capacity = 1024
+
 type world = {
   engine : Sim.Engine.t;
   host : Netsim.Host.t;  (* server host *)
@@ -182,7 +189,7 @@ let sum_counters reg ~suffix =
    peer rings until every producer has finished and the rings are
    observed empty — sound because phase B never pushes, so once
    [active] reaches zero no new frame can appear. *)
-let worker ~plan ~domains ~flowcache ~flight_rate ~batch ~swap_every ~rings
+let worker ~plan ~domains ~flowcache ~flight_rate ~swap_every ~rings
     ~active me =
   let w = make_world ~flowcache () in
   let incoming = Array.init domains (fun j -> rings.(j).(me)) in
@@ -386,16 +393,9 @@ type stats = {
   flight : Observe.Flight.t;
 }
 
-let run ?(flowcache = true) ?(flight_rate = 0) ?(batch = 32)
-    ?(ring_capacity = 1024) ?(swap_every = 0) ~domains plan =
+let run ?(flowcache = true) ?(flight_rate = 0) ?(swap_every = 0) ~domains
+    plan =
   if domains < 1 then invalid_arg "Par.Node.run: domains must be >= 1";
-  if batch < 1 then invalid_arg "Par.Node.run: batch must be >= 1";
-  (* power-of-two batch keeps the periodic-drain mask trick valid *)
-  let batch =
-    let b = ref 1 in
-    while !b < batch do b := !b * 2 done;
-    !b
-  in
   let t0 = Unix.gettimeofday () in
   let rings =
     Array.init domains (fun _ ->
@@ -403,8 +403,8 @@ let run ?(flowcache = true) ?(flight_rate = 0) ?(batch = 32)
   in
   let active = Atomic.make domains in
   let work me () =
-    worker ~plan ~domains ~flowcache ~flight_rate ~batch ~swap_every ~rings
-      ~active me
+    worker ~plan ~domains ~flowcache ~flight_rate ~swap_every ~rings ~active
+      me
   in
   let per =
     if domains = 1 then [| work 0 () |]

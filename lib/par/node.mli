@@ -77,13 +77,12 @@ type stats = {
 }
 
 val run :
-  ?flowcache:bool -> ?flight_rate:int -> ?batch:int -> ?ring_capacity:int ->
-  ?swap_every:int ->
+  ?flowcache:bool -> ?flight_rate:int -> ?swap_every:int ->
   domains:int -> Rss.t -> stats
 (** Execute the plan.  [flowcache] (default true) enables the flow-path
-    cache in every node; [batch] (default 32) is the local injection
-    burst and ring-drain granularity; [ring_capacity] (default 1024)
-    bounds each SPSC ring.  [flight_rate] (default 0 = off) turns on
+    cache in every node.  Each node injects its own frames in bursts of
+    32 and drains its rings every 32 steered frames; each SPSC ring
+    holds 1024 frames.  [flight_rate] (default 0 = off) turns on
     1-in-N flight-recorder sampling: marks are pre-computed from each
     frame's plan ordinal ({!Rss.frame.pkt}) with the plan's seed, so
     the sampled packet-id set is identical for every domain count and a

@@ -24,18 +24,18 @@
    and bucket lists stay seq-sorted: the head of the lowest occupied slot
    is the (key, seq) minimum.
 
-   The wheel's time advances to the earliest deadline whenever we look
-   ahead, e.g. when [run ~until] peeks past its limit and stops, so an
-   event scheduled after such a run can fall *behind* the wheel.  Those
-   rare stragglers go to a binary-heap side queue; firing merges the two
-   by (key, seq), so the global order is that of one stable heap. *)
+   The wheel is the only queue.  Looking ahead never moves [cur] past the
+   limit of the run that looks: [run ~until] settles no deadline and
+   cascades no window that starts after its horizon.  So after any run
+   [cur <= clock], and every schedule, which is never in the past, has a
+   key >= [cur] and places straight into the wheel. *)
 
 let slot_bits = 5
 let slots = 1 lsl slot_bits (* 32 *)
 let slot_mask = slots - 1
 let levels = 13 (* 13 * 5 = 65 bits: covers any non-negative OCaml int key *)
 
-type state = Wheel | Front | Dead
+type state = Wheel | Dead
 
 type node = {
   key : int; (* deadline, ns *)
@@ -44,7 +44,7 @@ type node = {
   mutable prev : node;
   mutable next : node;
   mutable bucket : int; (* level * slots + slot, while [state = Wheel] *)
-  mutable state : state; (* in the wheel, in the side queue, or done *)
+  mutable state : state; (* in the wheel, or done *)
   eng : t;
 }
 
@@ -59,12 +59,11 @@ and t = {
   mutable live : int; (* nodes in the wheel *)
   mutable settled : node;
       (* the level-0 sentinel [settle_slow] last found holding the
-         minimum.  Only [settle_slow] moves [cur], and it ends by setting
-         this, so while the bucket is non-empty its nodes have key = cur
-         and it still holds the minimum: a later schedule has key >= cur
-         and, at key = cur, lands in this very bucket behind them. *)
-  front : node Pheap.t; (* events scheduled behind the wheel *)
-  mutable front_live : int;
+         minimum, or [nil].  Only [settle_slow] moves [cur], and it sets
+         this whenever it does, so while the bucket is non-empty its
+         nodes have key = cur and it still holds the minimum: a later
+         schedule has key >= cur and, at key = cur, lands in this very
+         bucket behind them. *)
   rng : Rng.t;
   mutable events_run : int;
   mutable next_seq : int;
@@ -92,8 +91,6 @@ let create ?(seed = 42) () =
       cur = 0;
       live = 0;
       settled = nil;
-      front = Pheap.create ();
-      front_live = 0;
       rng = Rng.create seed;
       events_run = 0;
       next_seq = 0;
@@ -108,7 +105,7 @@ let create ?(seed = 42) () =
 let now t = t.clock
 let rng t = t.rng
 let events_run t = t.events_run
-let pending t = t.live + t.front_live
+let pending t = t.live
 
 (* ---- wheel ----------------------------------------------------------- *)
 
@@ -173,9 +170,11 @@ let cascade t level slot =
   replace_until t s first
 
 (* Advance [cur] to the earliest deadline in the wheel, cascading higher
-   buckets as needed, and return the level-0 sentinel holding it ([nil]
-   when the wheel is empty). *)
-let rec settle_slow t =
+   buckets as needed, and return the level-0 sentinel holding it.  [cur]
+   never passes [limit]: return [nil] instead of settling a deadline, or
+   cascading a window, that starts after it (and when the wheel is
+   empty). *)
+let rec settle_slow t limit =
   if t.level_occ = 0 then t.nil
   else begin
     let l = lowest_set_bit t.level_occ 0 in
@@ -183,22 +182,31 @@ let rec settle_slow t =
     if l = 0 then begin
       let s = t.buckets.(0).(slot) in
       (* every node in a level-0 bucket shares one exact deadline *)
-      t.cur <- s.next.key;
-      t.settled <- s;
-      s
+      let key = s.next.key in
+      if key > limit then t.nil
+      else begin
+        t.cur <- key;
+        t.settled <- s;
+        s
+      end
     end
     else begin
       (* jump cur to the start of that bucket's window, then cascade *)
       let w = slot_bits * (l + 1) in
-      t.cur <- ((t.cur lsr w) lsl w) lor (slot lsl (slot_bits * l));
-      cascade t l slot;
-      settle_slow t
+      let start = ((t.cur lsr w) lsl w) lor (slot lsl (slot_bits * l)) in
+      if start > limit then t.nil
+      else begin
+        t.cur <- start;
+        t.settled <- t.nil;
+        cascade t l slot;
+        settle_slow t limit
+      end
     end
   end
 
-let settle t =
+let settle t limit =
   let s = t.settled in
-  if s.next != s then s else settle_slow t
+  if s.next != s then s else settle_slow t limit
 
 (* ---- events ---------------------------------------------------------- *)
 
@@ -212,56 +220,29 @@ let schedule t ~at thunk =
     { key; seq; thunk; prev = t.nil; next = t.nil; bucket = -1; state = Wheel;
       eng = t }
   in
-  if key >= t.cur then begin
-    place t n;
-    t.live <- t.live + 1
-  end
-  else begin
-    n.state <- Front;
-    Pheap.add t.front ~key n;
-    t.front_live <- t.front_live + 1
-  end;
+  place t n;
+  t.live <- t.live + 1;
   n
 
 let schedule_in t ~delay thunk = schedule t ~at:(Stime.add t.clock delay) thunk
 
-(* A cancelled side-queue node stays in the heap, thunk already dropped,
-   until [front_min] meets it. *)
 let cancel n =
-  let t = n.eng in
-  (match n.state with
-  | Dead -> ()
-  | Wheel ->
-      unlink t n;
-      t.live <- t.live - 1
-  | Front -> t.front_live <- t.front_live - 1);
-  n.state <- Dead;
-  n.thunk <- noop
+  if n.state = Wheel then begin
+    let t = n.eng in
+    unlink t n;
+    t.live <- t.live - 1;
+    n.state <- Dead;
+    n.thunk <- noop
+  end
 
-let rec front_min t =
-  match Pheap.peek_min t.front with
-  | None -> t.nil
-  | Some (_, n) when n.state = Dead ->
-      ignore (Pheap.pop_min t.front);
-      front_min t
-  | Some (_, n) -> n
-
-(* The earliest live event by (key, seq), or [nil]. *)
-let next_event t =
-  let f = front_min t and w = (settle t).next in
-  if f == t.nil then w
-  else if w == t.nil || f.key < w.key || (f.key = w.key && f.seq < w.seq) then f
-  else w
+(* The earliest live event if its key is at most [limit], else [nil]. *)
+let next_event t limit =
+  let n = (settle t limit).next in
+  if n.key <= limit then n else t.nil
 
 let fire t n =
-  if n.state = Front then begin
-    ignore (Pheap.pop_min t.front);
-    t.front_live <- t.front_live - 1
-  end
-  else begin
-    unlink t n;
-    t.live <- t.live - 1
-  end;
+  unlink t n;
+  t.live <- t.live - 1;
   n.state <- Dead;
   t.clock <- Stime.ns n.key;
   let k = n.thunk in
@@ -270,13 +251,13 @@ let fire t n =
   k ()
 
 let step t =
-  let n = next_event t in
+  let n = next_event t max_int in
   n != t.nil && (fire t n; true)
 
 let rec run_from t ~limit ~max_events count =
   if count < max_events then begin
-    let n = next_event t in
-    if n != t.nil && n.key <= limit then begin
+    let n = next_event t limit in
+    if n != t.nil then begin
       fire t n;
       run_from t ~limit ~max_events (count + 1)
     end

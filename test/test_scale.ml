@@ -1,6 +1,6 @@
 (* Million-flow steady-state structures: the engine's timer wheel
    (equivalence with a Pheap oracle, true cancellation), the sharded
-   flow tables and CLOCK cache, and ephemeral port allocation. *)
+   CLOCK cache, and ephemeral port allocation. *)
 
 let us = Sim.Stime.us
 
@@ -8,11 +8,11 @@ let us = Sim.Stime.us
 
 (* Oracle equivalence: the engine must fire in exactly the (key, seq)
    order of a stable binary heap, under arbitrary interleavings of
-   schedule, cancel, step and [run ~until].  [run ~until] advances the
-   wheel's time to the next deadline and stops short of it, so later
-   schedules land behind the wheel, in the side queue; the merge of the
-   two must still be the heap's order.  Some events schedule a child when
-   they fire, as protocol timers do. *)
+   schedule, cancel, step and [run ~until].  [run ~until] stops short of
+   the next deadline without moving the wheel's time past its horizon,
+   so later schedules anywhere from the horizon on, including ties with
+   pending deadlines, must still come out in the heap's order.  Some
+   events schedule a child when they fire, as protocol timers do. *)
 type op =
   | Add of int * int option (* delay, child delay scheduled on firing *)
   | Past (* schedule before now: must raise and change nothing *)
@@ -65,15 +65,15 @@ let engine_matches_pheap ops =
     Hashtbl.replace handles id h
   in
   (* the model: a stable heap of ids by deadline, plus the live set *)
-  let model = Sim.Pheap.create () and live = Hashtbl.create 16 in
+  let model = Pheap.create () and live = Hashtbl.create 16 in
   let model_add ~at id =
-    Sim.Pheap.add model ~key:at id;
+    Pheap.add model ~key:at id;
     Hashtbl.replace live id ()
   in
   let rec model_min () =
-    match Sim.Pheap.peek_min model with
+    match Pheap.peek_min model with
     | Some (_, id) when not (Hashtbl.mem live id) ->
-        ignore (Sim.Pheap.pop_min model);
+        ignore (Pheap.pop_min model);
         model_min ()
     | m -> m
   in
@@ -82,7 +82,7 @@ let engine_matches_pheap ops =
     let rec go n acc =
       match model_min () with
       | Some (at, id) when n > 0 && at <= limit ->
-          ignore (Sim.Pheap.pop_min model);
+          ignore (Pheap.pop_min model);
           Hashtbl.remove live id;
           Option.iter (fun c -> model_add ~at:(at + c) (child_id id))
             (Hashtbl.find_opt child id);
@@ -213,40 +213,27 @@ let wheel_cancel_drops_thunk () =
   Sim.Engine.run e
 
 let engine_behind_horizon () =
-  (* run ~until peeks past the horizon; a later schedule between the
-     horizon and the next pending event must still fire, in order *)
+  (* run ~until stops short of the next pending deadline; later schedules
+     anywhere between the horizon and that deadline must still fire in
+     order, one at exactly the horizon first, and one at the pending
+     event's own deadline after it, in schedule (seq) order *)
   let e = Sim.Engine.create () in
   let log = ref [] in
-  ignore (Sim.Engine.schedule e ~at:(us 100) (fun () -> log := 100 :: !log));
+  let add t name =
+    ignore (Sim.Engine.schedule e ~at:(us t) (fun () -> log := name :: !log))
+  in
+  add 100 "100a";
   Sim.Engine.run e ~until:(us 50);
-  (* the wheel's horizon has advanced to 100us; schedule inside (50,100) *)
-  ignore (Sim.Engine.schedule e ~at:(us 60) (fun () -> log := 60 :: !log));
-  ignore (Sim.Engine.schedule e ~at:(us 80) (fun () -> log := 80 :: !log));
-  Alcotest.(check int) "three pending" 3 (Sim.Engine.pending e);
+  (* schedule inside (50,100), then at both ends *)
+  add 60 "60";
+  add 80 "80";
+  add 50 "50";
+  add 100 "100b";
+  Alcotest.(check int) "five pending" 5 (Sim.Engine.pending e);
   Sim.Engine.run e;
-  Alcotest.(check (list int)) "order preserved" [ 60; 80; 100 ]
+  Alcotest.(check (list string)) "order preserved, tie in seq order"
+    [ "50"; "60"; "80"; "100a"; "100b" ]
     (List.rev !log)
-
-(* ---- sharded table ---------------------------------------------------- *)
-
-let table_basics () =
-  let t = Spin.Sharded.Table.create ~shards:4 ~hash:Hashtbl.hash () in
-  Alcotest.(check int) "shards round to pow2" 4
-    (Spin.Sharded.Table.shard_count t);
-  for i = 0 to 999 do
-    Spin.Sharded.Table.replace t i (i * 2)
-  done;
-  Alcotest.(check int) "length" 1000 (Spin.Sharded.Table.length t);
-  Alcotest.(check (option int)) "find" (Some 84)
-    (Spin.Sharded.Table.find_opt t 42);
-  Spin.Sharded.Table.remove t 42;
-  Alcotest.(check bool) "removed" false (Spin.Sharded.Table.mem t 42);
-  Alcotest.(check int) "length after remove" 999
-    (Spin.Sharded.Table.length t);
-  let sum = Spin.Sharded.Table.fold (fun k _ acc -> acc + k) t 0 in
-  Alcotest.(check int) "fold visits every shard" (499500 - 42) sum;
-  Alcotest.(check bool) "no shard holds everything" true
-    (Spin.Sharded.Table.max_shard_size t < 999)
 
 let cache_eviction () =
   let ev = ref 0 in
@@ -384,7 +371,6 @@ let suite =
       ] );
     ( "scale.sharded",
       [
-        tc "table basics" table_basics;
         tc "cache bounded with eviction" cache_eviction;
         tc "clock keeps referenced entries" cache_clock_keeps_hot;
         tc "cache grows to capacity first" cache_grows;

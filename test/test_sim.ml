@@ -34,41 +34,41 @@ let stime_pp () =
 (* ---- Pheap ---------------------------------------------------------- *)
 
 let pheap_order () =
-  let h = Sim.Pheap.create () in
-  List.iter (fun k -> Sim.Pheap.add h ~key:k k) [ 5; 1; 9; 3; 7 ];
+  let h = Pheap.create () in
+  List.iter (fun k -> Pheap.add h ~key:k k) [ 5; 1; 9; 3; 7 ];
   let popped = List.init 5 (fun _ ->
-      match Sim.Pheap.pop_min h with Some (k, _) -> k | None -> -1)
+      match Pheap.pop_min h with Some (k, _) -> k | None -> -1)
   in
   Alcotest.(check (list int)) "sorted" [ 1; 3; 5; 7; 9 ] popped
 
 let pheap_stability () =
-  let h = Sim.Pheap.create () in
-  List.iteri (fun i v -> Sim.Pheap.add h ~key:7 (i, v)) [ "a"; "b"; "c" ];
+  let h = Pheap.create () in
+  List.iteri (fun i v -> Pheap.add h ~key:7 (i, v)) [ "a"; "b"; "c" ];
   let popped = List.init 3 (fun _ ->
-      match Sim.Pheap.pop_min h with Some (_, (_, v)) -> v | None -> "?")
+      match Pheap.pop_min h with Some (_, (_, v)) -> v | None -> "?")
   in
   Alcotest.(check (list string)) "fifo among equal keys" [ "a"; "b"; "c" ] popped
 
 let pheap_peek_and_sizes () =
-  let h = Sim.Pheap.create () in
-  Alcotest.(check bool) "empty" true (Sim.Pheap.is_empty h);
-  Alcotest.(check (option (pair int int))) "peek empty" None (Sim.Pheap.peek_min h);
-  Sim.Pheap.add h ~key:4 42;
-  Sim.Pheap.add h ~key:2 24;
-  Alcotest.(check int) "size" 2 (Sim.Pheap.size h);
-  Alcotest.(check (option (pair int int))) "peek" (Some (2, 24)) (Sim.Pheap.peek_min h);
-  Alcotest.(check int) "peek preserves" 2 (Sim.Pheap.size h);
-  Sim.Pheap.clear h;
-  Alcotest.(check bool) "cleared" true (Sim.Pheap.is_empty h)
+  let h = Pheap.create () in
+  Alcotest.(check bool) "empty" true (Pheap.is_empty h);
+  Alcotest.(check (option (pair int int))) "peek empty" None (Pheap.peek_min h);
+  Pheap.add h ~key:4 42;
+  Pheap.add h ~key:2 24;
+  Alcotest.(check int) "size" 2 (Pheap.size h);
+  Alcotest.(check (option (pair int int))) "peek" (Some (2, 24)) (Pheap.peek_min h);
+  Alcotest.(check int) "peek preserves" 2 (Pheap.size h);
+  Pheap.clear h;
+  Alcotest.(check bool) "cleared" true (Pheap.is_empty h)
 
 let pheap_qcheck =
   QCheck.Test.make ~name:"pheap pops in sorted order"
     QCheck.(list (int_bound 10_000))
     (fun keys ->
-      let h = Sim.Pheap.create () in
-      List.iter (fun k -> Sim.Pheap.add h ~key:k k) keys;
+      let h = Pheap.create () in
+      List.iter (fun k -> Pheap.add h ~key:k k) keys;
       let rec drain acc =
-        match Sim.Pheap.pop_min h with
+        match Pheap.pop_min h with
         | None -> List.rev acc
         | Some (k, _) -> drain (k :: acc)
       in
