@@ -275,16 +275,22 @@ let test_ephemeral_plan =
               (Spin.Ephemeral.execute ~budget:(Sim.Stime.us 12) prog))))
 
 (* One event through the simulation engine: the node it allocates is the
-   whole cost, the thunk being static. *)
-let engine_event_words () =
+   whole cost, the thunk being static.  Returns minor words and wheel
+   placements per event; a lone 1 us deadline settles with one cascade,
+   so it is placed twice (schedule, then straight to level 0). *)
+let engine_event () =
   let e = Sim.Engine.create () in
   let static_thunk () = () in
-  minor_words ~n:100_000 (fun () ->
-      ignore (Sim.Engine.schedule_in e ~delay:(Sim.Stime.us 1) static_thunk);
-      Sim.Engine.run e)
+  let n = 100_000 in
+  let words =
+    minor_words ~n (fun () ->
+        ignore (Sim.Engine.schedule_in e ~delay:(Sim.Stime.us 1) static_thunk);
+        Sim.Engine.run e)
+  in
+  (words, float_of_int (Sim.Engine.placements e) /. float_of_int (n + 1))
 
 let micro ~max_domains:_ =
-  let engine_words = engine_event_words () in
+  let engine_words, engine_placements = engine_event () in
   ( bechamel
       [
         test_direct_call;
@@ -299,9 +305,13 @@ let micro ~max_domains:_ =
         test_ephemeral_plan;
       ]
     @ [ value ~unit:"words_per_op" "engine event (schedule+run): minor words"
-          engine_words ],
+          engine_words;
+        value ~unit:"placements_per_op"
+          "engine event (schedule+run): wheel placements" engine_placements ],
     [ gate "engine event (schedule+run): minor words <= 12" ( <= ) engine_words
-        12. ] )
+        12.;
+      gate "engine event (schedule+run): wheel placements <= 2" ( <= )
+        engine_placements 2. ] )
 
 (* ---- dispatch: linear scan vs. merged tree, packet filters ------------ *)
 

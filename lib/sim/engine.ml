@@ -8,27 +8,40 @@
    the caller's closure is dropped at once, not at the deadline.
 
    Nodes live in a hierarchical timer wheel (O(1) schedule, O(1) true
-   cancel, amortised O(1) pop): [levels] levels of [slots] = 2^[slot_bits]
-   buckets.  Level l covers a window of 2^(slot_bits*(l+1)) ns split into
-   buckets of 2^(slot_bits*l) ns.  A node with deadline [key] lives at the
-   level given by the highest bit in which [key] differs from the wheel
-   time [cur]; when [cur] advances into a higher-level bucket's window,
-   that bucket is cascaded into lower levels.  Each bucket is a circular
-   doubly-linked list through the nodes themselves, with a sentinel.
+   cancel, amortised O(1) pop): [levels] levels of [slots] =
+   2^[slot_bits] buckets.  Level l covers a window of
+   2^(slot_bits*(l+1)) ns split into buckets of 2^(slot_bits*l) ns.  A
+   node with deadline [key] lives at the level given by the highest bit
+   in which [key] differs from the wheel time [cur].  Each bucket is a
+   circular doubly-linked list through the nodes themselves, with a
+   sentinel.
+
+   A cascade jumps [cur] to the earliest deadline.  The lowest occupied
+   bucket, when it is above level 0, holds the wheel's minimum: every
+   lower level is empty and every other node lies in a later window.
+   Settling moves [cur] to that bucket's minimum key and re-places its
+   nodes: those with that key drop straight to level 0, the rest to the
+   level of their highest digit that differs from the new [cur].  So a
+   node that is the earliest in its bucket when that bucket is cascaded
+   is placed twice in all, however far ahead it was scheduled: a lone
+   chain of timers costs two placements per event, not one per level
+   its deadline descends through.
 
    Order invariant: every node whose deadline lies within the current
-   level-(l+1) window is stored at level <= l, because a cascade pulls a
-   window's nodes down exactly when [cur] enters it and [cur] only moves
-   forward.  Hence a direct add into a bucket always carries a larger seq
-   than anything cascaded there earlier, cascading preserves list order,
-   and bucket lists stay seq-sorted: the head of the lowest occupied slot
-   is the (key, seq) minimum.
+   level-(l+1) window is stored at level <= l.  [cur] only moves
+   forward, and only inside the window of the bucket being cascaded,
+   whose nodes all move below it; so every other node keeps its level,
+   and a cascade always lands in empty lower levels.  Hence a direct add
+   into a bucket always carries a larger seq than anything cascaded
+   there earlier, cascading preserves list order, and bucket lists stay
+   seq-sorted: the head of the lowest occupied slot is the (key, seq)
+   minimum.
 
    The wheel is the only queue.  Looking ahead never moves [cur] past the
-   limit of the run that looks: [run ~until] settles no deadline and
-   cascades no window that starts after its horizon.  So after any run
-   [cur <= clock], and every schedule, which is never in the past, has a
-   key >= [cur] and places straight into the wheel. *)
+   limit of the run that looks: [run ~until] settles no deadline, and
+   cascades no bucket, whose earliest deadline is after its horizon.  So
+   after any run [cur <= clock], and every schedule, which is never in
+   the past, has a key >= [cur] and places straight into the wheel. *)
 
 let slot_bits = 5
 let slots = 1 lsl slot_bits (* 32 *)
@@ -57,6 +70,7 @@ and t = {
   mutable level_occ : int; (* bitmap of levels with any non-empty slot *)
   mutable cur : int; (* wheel time: every key in the wheel is >= cur *)
   mutable live : int; (* nodes in the wheel *)
+  mutable placements : int; (* bucket insertions: schedules plus cascades *)
   mutable settled : node;
       (* the level-0 sentinel [settle_slow] last found holding the
          minimum, or [nil].  Only [settle_slow] moves [cur], and it sets
@@ -90,6 +104,7 @@ let create ?(seed = 42) () =
       level_occ = 0;
       cur = 0;
       live = 0;
+      placements = 0;
       settled = nil;
       rng = Rng.create seed;
       events_run = 0;
@@ -106,6 +121,7 @@ let now t = t.clock
 let rng t = t.rng
 let events_run t = t.events_run
 let pending t = t.live
+let placements t = t.placements
 
 (* ---- wheel ----------------------------------------------------------- *)
 
@@ -118,9 +134,22 @@ let rec highest_bit x acc =
   else if x >= 0x2 then acc + 1
   else acc
 
-(* index of the least-significant set bit; x <> 0 *)
-let rec lowest_set_bit x acc =
-  if x land 1 = 1 then acc else lowest_set_bit (x lsr 1) (acc + 1)
+(* Index of the least-significant set bit of [x <> 0], by de Bruijn
+   multiply: [x land (-x)] isolates that bit, and multiplying by
+   [debruijn] leaves a distinct 6-bit pattern in the top bits for each of
+   the 63 bit positions (the table's construction asserts it). *)
+let debruijn = 0x022fdd63cc95386d
+
+let lowest_bit_table =
+  let tbl = Array.make 64 (-1) in
+  for k = 0 to 62 do
+    let i = ((1 lsl k) * debruijn) lsr 57 in
+    assert (tbl.(i) < 0);
+    tbl.(i) <- k
+  done;
+  tbl
+
+let lowest_set_bit x = lowest_bit_table.(((x land (-x)) * debruijn) lsr 57)
 
 (* Append [n] to the bucket of its level (the 5-bit digit group holding
    the highest bit in which its key and [cur] differ) and slot. *)
@@ -129,6 +158,7 @@ let place t n =
   let level = if x = 0 then 0 else highest_bit x 0 / slot_bits in
   let slot = (n.key lsr (slot_bits * level)) land slot_mask in
   let s = t.buckets.(level).(slot) in
+  t.placements <- t.placements + 1;
   n.bucket <- (level lsl slot_bits) lor slot;
   n.prev <- s.prev;
   n.next <- s;
@@ -159,8 +189,9 @@ let rec replace_until t s n =
   end
 
 (* Move every node of bucket [level].[slot] down a level or more.  [cur]
-   has just entered the bucket's window, so each node maps strictly lower;
-   traversal keeps list (= seq) order. *)
+   has just moved to the bucket's minimum key, inside its window, so each
+   node maps strictly lower and the earliest to level 0; traversal keeps
+   list (= seq) order. *)
 let cascade t level slot =
   let s = t.buckets.(level).(slot) in
   clear_bit t level slot;
@@ -169,38 +200,30 @@ let cascade t level slot =
   s.prev <- s;
   replace_until t s first
 
-(* Advance [cur] to the earliest deadline in the wheel, cascading higher
-   buckets as needed, and return the level-0 sentinel holding it.  [cur]
-   never passes [limit]: return [nil] instead of settling a deadline, or
-   cascading a window, that starts after it (and when the wheel is
-   empty). *)
-let rec settle_slow t limit =
+let rec min_key s n acc =
+  if n == s then acc else min_key s n.next (if n.key < acc then n.key else acc)
+
+(* Advance [cur] to the earliest deadline in the wheel and return the
+   level-0 sentinel holding it.  That deadline is the minimum key of the
+   lowest occupied bucket; if the bucket is above level 0, cascading it
+   around the new [cur] drops its earliest nodes into level 0.  [cur]
+   never passes [limit]: return [nil], cascading nothing, when the
+   earliest deadline is after it (and when the wheel is empty). *)
+let settle_slow t limit =
   if t.level_occ = 0 then t.nil
   else begin
-    let l = lowest_set_bit t.level_occ 0 in
-    let slot = lowest_set_bit t.occupancy.(l) 0 in
-    if l = 0 then begin
-      let s = t.buckets.(0).(slot) in
-      (* every node in a level-0 bucket shares one exact deadline *)
-      let key = s.next.key in
-      if key > limit then t.nil
-      else begin
-        t.cur <- key;
-        t.settled <- s;
-        s
-      end
-    end
+    let l = lowest_set_bit t.level_occ in
+    let slot = lowest_set_bit t.occupancy.(l) in
+    let s = t.buckets.(l).(slot) in
+    (* every node in a level-0 bucket shares one exact deadline *)
+    let key = if l = 0 then s.next.key else min_key s s.next max_int in
+    if key > limit then t.nil
     else begin
-      (* jump cur to the start of that bucket's window, then cascade *)
-      let w = slot_bits * (l + 1) in
-      let start = ((t.cur lsr w) lsl w) lor (slot lsl (slot_bits * l)) in
-      if start > limit then t.nil
-      else begin
-        t.cur <- start;
-        t.settled <- t.nil;
-        cascade t l slot;
-        settle_slow t limit
-      end
+      t.cur <- key;
+      if l > 0 then cascade t l slot;
+      let s0 = t.buckets.(0).(key land slot_mask) in
+      t.settled <- s0;
+      s0
     end
   end
 

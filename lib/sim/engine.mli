@@ -25,6 +25,12 @@ val pending : t -> int
 (** Number of live events still queued.  Cancelled events are removed
     eagerly and never counted. *)
 
+val placements : t -> int
+(** Number of bucket insertions into the engine's timer wheel so far: one
+    per schedule, plus one per node each time a cascade moves it.  A
+    node that is the earliest in its bucket when the bucket is cascaded
+    moves once, straight to the bucket that fires next. *)
+
 val schedule : t -> at:Stime.t -> (unit -> unit) -> handle
 (** [schedule t ~at k] runs [k] when the clock reaches [at].
     @raise Invalid_argument if [at] is in the past. *)

@@ -1,21 +1,29 @@
 (* SplitMix64: a small, fast, deterministic PRNG.  We avoid Stdlib.Random
    so that simulation runs are reproducible independent of global state. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable int64] field
+   would box a fresh state on every draw.  [mix64] and [next_int64] are
+   inlined so a draw's intermediate [int64]s stay unboxed too. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let of_state z =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 z;
+  t
+
+let create seed = of_state (Int64.of_int seed)
 
 (* The SplitMix64 output finalizer: a bijective avalanche mix, applied
    to every advanced state and, by [stream], to raw (seed, index)
    combinations to decorrelate nearby pairs. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  let z = Int64.add t.state 0x9E3779B97F4A7C15L in
-  t.state <- z;
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_le t 0 z;
   mix64 z
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
@@ -31,7 +39,7 @@ let float t bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 (* Unlike [split], which derives a child from the parent's *current*
    position (so the result depends on how many draws preceded it), a
@@ -48,7 +56,7 @@ let stream ~seed ~index =
     Int64.add (Int64.of_int seed)
       (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (index + 1)))
   in
-  { state = mix64 z }
+  of_state (mix64 z)
 
 let exponential t ~mean =
   let u = float t 1.0 in

@@ -21,9 +21,11 @@ let add = ( + )
 let sub = ( - )
 let mul t k = t * k
 let scale t f = int_of_float (float_of_int t *. f +. 0.5)
-let max = Stdlib.max
-let min = Stdlib.min
-let compare = Stdlib.compare
+(* On [int], not the polymorphic [Stdlib] versions, which call into the C
+   runtime ([caml_compare], [caml_greaterequal]) on every use. *)
+let max (a : int) b = if a >= b then a else b
+let min (a : int) b = if a <= b then a else b
+let compare (a : int) b = Stdlib.compare a b
 let equal : t -> t -> bool = ( = )
 let ( + ) = add
 let ( - ) = sub

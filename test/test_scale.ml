@@ -20,6 +20,8 @@ type op =
   | Cancel_dead (* a fired or cancelled handle: no-op *)
   | Step
   | Until of int
+  | Add_at of int (* absolute deadline; skipped once it is behind now *)
+  | Until_at of int (* absolute horizon; skipped once it is behind now *)
 
 let delay_gen =
   QCheck.Gen.(
@@ -46,6 +48,40 @@ let op_print = function
   | Cancel_dead -> "Cancel_dead"
   | Step -> "Step"
   | Until d -> Printf.sprintf "Until +%d" d
+  | Add_at k -> Printf.sprintf "Add_at %d" k
+  | Until_at k -> Printf.sprintf "Until_at %d" k
+
+(* Many deadlines packed into one bucket of a high wheel level, read
+   from a fresh engine (wheel time 0): level [level] slot [slot] spans
+   [start, start + width).  Horizons fall between the window's start and
+   the earliest deadline in it, so [run ~until] must leave the bucket
+   alone; steps and plain adds (which land in the same window once the
+   clock has entered it) interleave with them. *)
+let packed_gen =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun level ->
+    int_range 1 31 >>= fun slot ->
+    let width = 1 lsl (5 * level) in
+    let start = slot * width in
+    int_bound (width - 1) >>= fun lo ->
+    let key = map (fun o -> Add_at (start + lo + o)) (int_bound (width - 1 - lo)) in
+    let horizon = map (fun o -> Until_at (start + o)) (int_bound lo) in
+    list_size (10 -- 120)
+      (frequency
+         [
+           (8, key);
+           (3, horizon);
+           (1, map (fun d -> Add (d, None)) delay_gen);
+           (1, return Step);
+         ]))
+
+let ops_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, list_size (0 -- 200) op_gen);
+        (1, map2 ( @ ) packed_gen (list_size (0 -- 100) op_gen));
+      ])
 
 let engine_matches_pheap ops =
   let e = Sim.Engine.create () in
@@ -105,15 +141,23 @@ let engine_matches_pheap ops =
     List.iter (fun id -> dead := Hashtbl.find handles id :: !dead) !fired;
     expect
   in
+  let add ~at cd =
+    let id = !next_id in
+    incr next_id;
+    Option.iter (Hashtbl.replace child id) cd;
+    engine_add ~at id;
+    model_add ~at id
+  in
+  let run_until limit =
+    ignore
+      (both (fun () -> Sim.Engine.run e ~until:(Sim.Stime.ns limit)) ~limit
+         max_int);
+    check (now () = limit)
+  in
   List.iter
     (fun op ->
       (match op with
-      | Add (d, cd) ->
-          let id = !next_id in
-          incr next_id;
-          Option.iter (Hashtbl.replace child id) cd;
-          engine_add ~at:(now () + d) id;
-          model_add ~at:(now () + d) id
+      | Add (d, cd) -> add ~at:(now () + d) cd
       | Past ->
           if now () > 0 then
             check
@@ -142,12 +186,9 @@ let engine_matches_pheap ops =
           match both (fun () -> stepped := Sim.Engine.step e) ~limit:max_int 1 with
           | [ (at, _) ] -> check (!stepped && now () = at)
           | _ -> check (not !stepped))
-      | Until d ->
-          let limit = now () + d in
-          ignore
-            (both (fun () -> Sim.Engine.run e ~until:(Sim.Stime.ns limit)) ~limit
-               max_int);
-          check (now () = limit));
+      | Add_at k -> if k >= now () then add ~at:k None
+      | Until d -> run_until (now () + d)
+      | Until_at k -> if k >= now () then run_until k);
       check (Sim.Engine.pending e = Hashtbl.length live))
     ops;
   (* drain both: remainders must agree too *)
@@ -155,17 +196,20 @@ let engine_matches_pheap ops =
   !ok && Sim.Engine.pending e = 0
 
 let wheel_oracle_qcheck =
-  QCheck.Test.make ~count:300 ~name:"timer wheel fires in pheap order"
+  QCheck.Test.make ~count:1000 ~name:"timer wheel fires in pheap order"
     QCheck.(make ~print:(fun l -> String.concat "; " (List.map op_print l))
-              Gen.(list_size (0 -- 200) op_gen))
+              ops_gen)
     engine_matches_pheap
 
 let wheel_long_range () =
-  (* deadlines spread over many wheel levels fire in order *)
+  (* deadlines spread over every wheel level fire in order: one key at
+     each bit position 0-61 (so at every level 0-12), mixed with keys
+     that share a bucket with them *)
   let e = Sim.Engine.create () in
   let keys =
-    [ 1_000_000; 1; 32_768; 31; 32; 4611686018427387903 (* max_int/2: level 12 *);
-      33; 1_000; 123_456_789; 1_000_000_000_000 ]
+    List.init 62 (fun b -> 1 lsl b)
+    @ [ 1_000_000; 31; 33; 1_000; 32_767; 123_456_789; 1_000_000_000_000;
+        4611686018427387903 (* max_int/2 *) ]
   in
   let fired = ref [] in
   List.iter
@@ -177,6 +221,26 @@ let wheel_long_range () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "sorted across levels" (List.sort compare keys)
     (List.rev !fired)
+
+(* A chain of lone events 1-60 us apart, each scheduling the next: a
+   deadline settles with one cascade, so the wheel makes at most two
+   placements (the schedule and that cascade) per fired event. *)
+let wheel_placements_per_event () =
+  let e = Sim.Engine.create () in
+  let n = 10_000 in
+  let rec next i () =
+    if i < n then
+      ignore
+        (Sim.Engine.schedule_in e ~delay:(us (1 + (i * 7 mod 60))) (next (i + 1)))
+  in
+  next 0 ();
+  Sim.Engine.run e;
+  Alcotest.(check int) "all fired" n (Sim.Engine.events_run e);
+  let per_event =
+    float_of_int (Sim.Engine.placements e) /. float_of_int n
+  in
+  if per_event > 2. then
+    Alcotest.failf "%.2f placements per fired event, want <= 2" per_event
 
 let wheel_mass_cancel () =
   (* 100k pending, mass-cancel, wheel must be observably empty *)
@@ -365,6 +429,7 @@ let suite =
       [
         prop wheel_oracle_qcheck;
         tc "keys across all levels" wheel_long_range;
+        tc "at most two placements per chained event" wheel_placements_per_event;
         tc "100k pending, mass cancel" wheel_mass_cancel;
         tc "cancel drops the closure eagerly" wheel_cancel_drops_thunk;
         tc "schedule behind a peeked horizon" engine_behind_horizon;
