@@ -45,21 +45,17 @@ let create ?(retry_interval = Sim.Stime.s 1) ?(max_retries = 3) graph ether
   in
   let costs = Netsim.Host.costs host in
   let handle ctx =
-    let v = View.shift (Pctx.view ctx) Proto.Ether.header_len in
-    match Proto.Arp.parse v with
-    | None -> ()
-    | Some msg ->
-        let now = Sim.Engine.now t.engine in
-        Proto.Arp.Cache.insert t.cache ~now msg.Proto.Arp.sender_ip
-          msg.Proto.Arp.sender_mac;
-        Hashtbl.remove t.pending msg.Proto.Arp.sender_ip;
-        if
-          msg.Proto.Arp.op = Proto.Arp.op_request
-          && Proto.Ipaddr.equal msg.Proto.Arp.target_ip t.ip
-        then begin
-          t.replies_sent <- t.replies_sent + 1;
-          send_arp t (Proto.Arp.reply_to msg ~mac:(Ether_mgr.mac ether))
-        end
+    match
+      Proto.Arp.answer t.cache ~now:(Sim.Engine.now t.engine) ~ip:t.ip
+        ~mac:(Ether_mgr.mac ether)
+        (View.shift (Pctx.view ctx) Proto.Ether.header_len)
+    with
+    | Ignored -> ()
+    | Learned sender -> Hashtbl.remove t.pending sender
+    | Reply reply ->
+        Hashtbl.remove t.pending reply.Proto.Arp.target_ip;
+        t.replies_sent <- t.replies_sent + 1;
+        send_arp t reply
   in
   let (_ : unit -> unit) =
     Ether_mgr.install_protocol ether ~child:"arp"

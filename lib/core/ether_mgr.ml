@@ -55,10 +55,7 @@ let mac t = Netsim.Dev.mac t.dev
 (* The current execution priority for the send path: if the graph runs at
    interrupt level (Figure 5 "interrupt"), replies are sent from
    interrupt context too. *)
-let prio t =
-  match Spin.Dispatcher.mode (Graph.recv_event t.node) with
-  | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
-  | Spin.Dispatcher.Thread -> Sim.Cpu.Thread
+let prio t = Spin.Dispatcher.mode (Graph.recv_event t.node)
 
 let cpu t = Netsim.Host.cpu (Graph.host t.graph)
 

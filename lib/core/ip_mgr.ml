@@ -1,13 +1,10 @@
-(* The IP protocol manager: validates and demultiplexes incoming
-   datagrams (reassembling fragments), and provides the send path used by
-   the transport managers — including fragmentation to the device MTU. *)
+(* The IP protocol manager: Plexus's placement of the shared datagram
+   layer ([Proto.Ip_frag.receive]/[output], [Proto.Ipv4.route]).  It
+   charges IP work on the host CPU at the graph's priority, raises
+   accepted datagrams into the protocol graph, and gives the transport
+   managers their send path. *)
 
-type route = {
-  net : Proto.Ipaddr.t;
-  mask_bits : int;
-  ether : Ether_mgr.t;
-  arp : Arp_mgr.t;
-}
+type link = { ether : Ether_mgr.t; arp : Arp_mgr.t }
 
 type counters = {
   mutable rx : int;
@@ -23,10 +20,9 @@ type t = {
   node : Graph.node;
   host : Netsim.Host.t;
   costs : Netsim.Costs.t;
-  mutable routes : route list;
+  mutable routes : link Proto.Ipv4.route list;
   frag : Proto.Ip_frag.t;
   mutable frag_timer : Sim.Engine.handle option;
-  mutable next_id : int;
   counters : counters;
 }
 
@@ -40,7 +36,6 @@ let create graph =
     routes = [];
     frag = Proto.Ip_frag.create ();
     frag_timer = None;
-    next_id = 1;
     counters =
       {
         rx = 0;
@@ -63,7 +58,7 @@ let raise_recv t ctx = Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
 
 let frag_state t = t.frag
 
-(* Scheduled reassembly expiry.  [Ip_frag.input] only expires lazily —
+(* Scheduled reassembly expiry.  [Ip_frag.receive] only expires lazily —
    when *another* fragment arrives — so under loss a half-delivered
    fragment train would pin its chunk buffers forever.  A one-shot timer
    armed at the earliest pending deadline bounds that: it fires, expires
@@ -108,50 +103,35 @@ let settle_frag_timer t =
 let rx t ctx =
   t.counters.rx <- t.counters.rx + 1;
   let v = View.shift (Pctx.view ctx) Proto.Ether.header_len in
-  match Proto.Ipv4.parse v with
-  | None -> t.counters.bad_checksum <- t.counters.bad_checksum + 1
-  | Some h ->
-      if not (Proto.Ipv4.checksum_valid v) then
-        t.counters.bad_checksum <- t.counters.bad_checksum + 1
-      else if
-        not
-          (Proto.Ipaddr.equal h.Proto.Ipv4.dst (host_ip t)
-          || Proto.Ipaddr.equal h.Proto.Ipv4.dst Proto.Ipaddr.broadcast)
-      then t.counters.not_ours <- t.counters.not_ours + 1
-      else begin
-        let l2 = Proto.Ether.parse (Pctx.view ctx) in
-        let ctx = match l2 with Some h2 -> Pctx.with_l2 ctx h2 | None -> ctx in
-        if h.Proto.Ipv4.more_fragments || h.Proto.Ipv4.frag_offset > 0 then begin
-          let payload =
-            View.sub v ~off:Proto.Ipv4.header_len
-              ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len)
-          in
-          match
-            Proto.Ip_frag.input t.frag ~now:(Sim.Engine.now (engine t)) h payload
-          with
-          | None -> ensure_frag_timer t
-          | Some datagram ->
-              settle_frag_timer t;
-              t.counters.reassembled <- t.counters.reassembled + 1;
-              t.counters.delivered <- t.counters.delivered + 1;
-              let pkt = Mbuf.ro datagram in
-              let h = { h with Proto.Ipv4.more_fragments = false; frag_offset = 0 } in
-              raise_recv t (Pctx.with_ip (Pctx.with_payload ctx pkt) h)
-        end
-        else begin
-          t.counters.delivered <- t.counters.delivered + 1;
-          let ctx =
-            Pctx.advance ctx (Proto.Ether.header_len + Proto.Ipv4.header_len)
-          in
-          (* strip link-layer padding below the IP total length *)
-          let l4_len = h.Proto.Ipv4.total_len - Proto.Ipv4.header_len in
-          let ctx =
-            if Pctx.payload_len ctx > l4_len then Pctx.with_limit ctx l4_len
-            else ctx
-          in
-          raise_recv t (Pctx.with_ip ctx h)
-        end
-      end
+  let with_l2 ctx =
+    match Proto.Ether.parse (Pctx.view ctx) with
+    | Some h2 -> Pctx.with_l2 ctx h2
+    | None -> ctx
+  in
+  match
+    Proto.Ip_frag.receive t.frag ~now:(Sim.Engine.now (engine t))
+      ~host:(host_ip t) v
+  with
+  | Malformed -> t.counters.bad_checksum <- t.counters.bad_checksum + 1
+  | Not_ours -> t.counters.not_ours <- t.counters.not_ours + 1
+  | Whole h ->
+      t.counters.delivered <- t.counters.delivered + 1;
+      let ctx =
+        Pctx.advance (with_l2 ctx) (Proto.Ether.header_len + Proto.Ipv4.header_len)
+      in
+      (* strip link-layer padding below the IP total length *)
+      let l4_len = Proto.Ipv4.payload_len h in
+      let ctx =
+        if Pctx.payload_len ctx > l4_len then Pctx.with_limit ctx l4_len else ctx
+      in
+      raise_recv t (Pctx.with_ip ctx h)
+  | Held -> ensure_frag_timer t
+  | Reassembled (h, datagram) ->
+      settle_frag_timer t;
+      t.counters.reassembled <- t.counters.reassembled + 1;
+      t.counters.delivered <- t.counters.delivered + 1;
+      raise_recv t
+        (Pctx.with_ip (Pctx.with_payload (with_l2 ctx) (Mbuf.ro datagram)) h)
 
 let mac_guard dev ctx =
   match Proto.Ether.parse (Pctx.view ctx) with
@@ -161,7 +141,7 @@ let mac_guard dev ctx =
       || Proto.Ether.Mac.equal h.Proto.Ether.dst Proto.Ether.Mac.broadcast
 
 let attach t ether arp ~net ~mask_bits =
-  t.routes <- t.routes @ [ { net; mask_bits; ether; arp } ];
+  t.routes <- t.routes @ [ { Proto.Ipv4.net; mask_bits; link = { ether; arp } } ];
   let guard ctx =
     Ether_mgr.etype_guard Proto.Ether.etype_ip ctx
     && mac_guard (Ether_mgr.dev ether) ctx
@@ -175,78 +155,42 @@ let attach t ether arp ~net ~mask_bits =
   in
   ()
 
-let route_for t dst =
-  match
-    List.find_opt
-      (fun r -> Proto.Ipaddr.in_subnet dst ~net:r.net ~mask_bits:r.mask_bits)
-      t.routes
-  with
-  | Some r -> Some r
-  | None -> ( match t.routes with r :: _ -> Some r | [] -> None)
-
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- (t.next_id + 1) land 0xffff;
-  id
-
 (* Send one already-formed IP packet out the right device. *)
-let emit _t route ~prio ~dst pkt =
-  Arp_mgr.resolve route.arp dst (fun mac ->
-      Ether_mgr.send route.ether ~prio ~dst:mac ~etype:Proto.Ether.etype_ip pkt)
+let emit link ~prio ~dst pkt =
+  Arp_mgr.resolve link.arp dst (fun mac ->
+      Ether_mgr.send link.ether ~prio ~dst:mac ~etype:Proto.Ether.etype_ip pkt)
 
-(* Transport send path: encapsulate [payload] for [proto], fragmenting to
-   the route's MTU when necessary.  The source address is always the
-   host's — transports cannot spoof it. *)
+(* Transport send path: one [ip_out] charge per packet the payload
+   becomes.  The source address is always the host's — transports cannot
+   spoof it. *)
 let send t ?prio:p ~proto ~dst payload =
-  match route_for t dst with
+  match Proto.Ipv4.route t.routes dst with
   | None -> invalid_arg "Ip_mgr.send: no route"
-  | Some route ->
-      let prio = match p with Some p -> p | None -> Ether_mgr.prio route.ether in
-      let mtu = Ether_mgr.mtu route.ether in
-      let len = Mbuf.length payload in
-      let src = host_ip t in
-      if len + Proto.Ipv4.header_len <= mtu then begin
-        Sim.Cpu.run (cpu t) ~prio ~cost:t.costs.Netsim.Costs.layer.ip_out
-          (fun () ->
-            Proto.Ipv4.encapsulate payload
-              (Proto.Ipv4.make ~id:(fresh_id t) ~proto ~src ~dst
-                 ~payload_len:len ());
-            emit t route ~prio ~dst payload)
-      end
-      else begin
-        let id = fresh_id t in
-        (* zero-copy: fragments are sub-chains sharing the payload's
-           buffers; only the per-fragment headers are fresh bytes *)
-        let frags = Proto.Ip_frag.fragment ~mtu payload in
-        let n = List.length frags in
-        t.counters.fragments_out <- t.counters.fragments_out + n;
-        Sim.Cpu.run (cpu t) ~prio
-          ~cost:(Sim.Stime.mul t.costs.Netsim.Costs.layer.ip_out n)
-          (fun () ->
-            List.iter
-              (fun (off8, more, fragment) ->
-                let frag_len = Mbuf.length fragment in
-                Proto.Ipv4.encapsulate fragment
-                  (Proto.Ipv4.make ~id ~more_fragments:more ~frag_offset:off8
-                     ~proto ~src ~dst ~payload_len:frag_len ());
-                emit t route ~prio ~dst fragment)
-              frags)
-      end
+  | Some { link; _ } ->
+      let prio = match p with Some p -> p | None -> Ether_mgr.prio link.ether in
+      let mtu = Ether_mgr.mtu link.ether in
+      let n = Proto.Ip_frag.packet_count ~mtu (Mbuf.length payload) in
+      if n > 1 then t.counters.fragments_out <- t.counters.fragments_out + n;
+      Sim.Cpu.run (cpu t) ~prio
+        ~cost:(Sim.Stime.mul t.costs.Netsim.Costs.layer.ip_out n)
+        (fun () ->
+          Proto.Ip_frag.output t.frag ~mtu ~proto ~src:(host_ip t) ~dst payload
+            (emit link ~prio ~dst))
 
 (* Whether sending toward [dst] goes out a programmed-I/O device (the
    send-side integrated-layer-processing query). *)
 let dst_touches_data t dst =
-  match route_for t dst with
-  | Some route -> Ether_mgr.touches_data route.ether
+  match Proto.Ipv4.route t.routes dst with
+  | Some { link; _ } -> Ether_mgr.touches_data link.ether
   | None -> false
 
 (* Privileged: transmit a complete IP datagram (header included) toward
    [dst] without rewriting its source — granted only to the in-kernel
    forwarder (paper section 5.2), which redirects other hosts' packets. *)
 let send_prepared t ?prio:p ~dst pkt =
-  match route_for t dst with
+  match Proto.Ipv4.route t.routes dst with
   | None -> invalid_arg "Ip_mgr.send_prepared: no route"
-  | Some route ->
-      let prio = match p with Some p -> p | None -> Ether_mgr.prio route.ether in
+  | Some { link; _ } ->
+      let prio = match p with Some p -> p | None -> Ether_mgr.prio link.ether in
       Sim.Cpu.run (cpu t) ~prio ~cost:t.costs.Netsim.Costs.layer.ip_out
-        (fun () -> emit t route ~prio ~dst pkt)
+        (fun () -> emit link ~prio ~dst pkt)

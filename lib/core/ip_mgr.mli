@@ -1,5 +1,7 @@
-(** IP protocol manager: receive validation/reassembly/demux and the
-    transport send path with fragmentation. *)
+(** IP protocol manager: Plexus's placement of the datagram layer every
+    stack shares ({!Proto.Ip_frag.receive}/{!Proto.Ip_frag.output},
+    {!Proto.Ipv4.route}) — CPU charged at the graph's priority, accepted
+    datagrams raised into the protocol graph. *)
 
 type t
 

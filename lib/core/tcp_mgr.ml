@@ -68,10 +68,7 @@ let port_bound t p = Hashtbl.mem t.bound p
 
 let cpu t = Netsim.Host.cpu (Graph.host t.graph)
 
-let prio t =
-  match Spin.Dispatcher.mode (Graph.recv_event t.node) with
-  | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
-  | Spin.Dispatcher.Thread -> Sim.Cpu.Thread
+let prio t = Spin.Dispatcher.mode (Graph.recv_event t.node)
 
 let proto_guard t ctx =
   match ctx.Pctx.ip with

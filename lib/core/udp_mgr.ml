@@ -244,12 +244,7 @@ let do_send_mbuf ?(extra_cost = Sim.Stime.zero) t ep ~prio ~dst:(dip, dport)
     else Sim.Stime.zero
   in
   let prio =
-    match prio with
-    | Some p -> p
-    | None ->
-        (match Spin.Dispatcher.mode (Graph.recv_event t.node) with
-        | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
-        | Spin.Dispatcher.Thread -> Sim.Cpu.Thread)
+    Option.value prio ~default:(Spin.Dispatcher.mode (Graph.recv_event t.node))
   in
   Sim.Cpu.run (cpu t) ~prio
     ~cost:
@@ -279,12 +274,8 @@ let send_multi t ep ?prio ?(checksum = true) ~dsts data =
         else Sim.Stime.zero
       in
       let prio =
-        match prio with
-        | Some p -> p
-        | None -> (
-            match Spin.Dispatcher.mode (Graph.recv_event t.node) with
-            | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
-            | Spin.Dispatcher.Thread -> Sim.Cpu.Thread)
+        Option.value prio
+          ~default:(Spin.Dispatcher.mode (Graph.recv_event t.node))
       in
       (* one marshal+checksum pass, then a cheap replicated send per
          destination *)

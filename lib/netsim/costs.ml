@@ -51,7 +51,6 @@ type t = {
   disk_dma_setup : T.t;
   disk_intr : T.t;
   fb_ns_per_byte : float;  (* framebuffer writes: ~10x slower than RAM *)
-  ram_ns_per_byte : float;
 }
 
 let default =
@@ -92,7 +91,6 @@ let default =
     disk_dma_setup = T.us 20;
     disk_intr = T.us 15;
     fb_ns_per_byte = 250.;
-    ram_ns_per_byte = 25.;
   }
 
 let per_byte ns_per_byte len = T.of_us_f (ns_per_byte *. float_of_int len /. 1000.)

@@ -37,7 +37,6 @@ type t = {
   disk_dma_setup : T.t;
   disk_intr : T.t;
   fb_ns_per_byte : float;
-  ram_ns_per_byte : float;
 }
 
 val default : t

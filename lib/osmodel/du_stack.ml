@@ -2,10 +2,12 @@
    with BSD sockets.
 
    Methodology mirrors the paper's: the *same* device models, wire
-   formats and TCP engine as Plexus, differing only in OS structure —
-   protocol code runs in the kernel at interrupt level, applications run
-   as user processes, and every packet crosses the user/kernel boundary
-   (trap + copy on send; wakeup + context switch + copy on receive).
+   formats, IP/ARP core ([Proto.Ip_frag.receive]/[output],
+   [Proto.Ipv4.route], [Proto.Arp.answer]) and TCP engine as Plexus,
+   differing only in OS structure — protocol code runs in the kernel at
+   interrupt level, applications run as user processes, and every
+   packet crosses the user/kernel boundary (trap + copy on send; wakeup
+   + context switch + copy on receive).
    There is no dispatcher, no guards and no extensibility: the
    performance comparison isolates exactly the architectural difference
    the paper measures. *)
@@ -27,12 +29,7 @@ type udp_sock = {
   mutable us_on_recv : src:Proto.Ipaddr.t * int -> string -> unit;
 }
 
-type route = {
-  net : Proto.Ipaddr.t;
-  mask_bits : int;
-  dev : Netsim.Dev.t;
-  arp : Proto.Arp.Cache.t;
-}
+type link = { dev : Netsim.Dev.t; arp : Proto.Arp.Cache.t }
 
 type tconn = {
   du : t;
@@ -52,13 +49,12 @@ and t = {
   engine : Sim.Engine.t;
   cpu : Sim.Cpu.t;
   costs : Netsim.Costs.t;
-  mutable routes : route list;
+  mutable routes : link Proto.Ipv4.route list;
   frag : Proto.Ip_frag.t;
   udp_socks : (int, udp_sock) Hashtbl.t;
   tconns : (int * int * int, tconn) Hashtbl.t;
   listeners : (int, listener) Hashtbl.t;
   mutable next_ephemeral : int;
-  mutable next_ip_id : int;
   deliveries : (int * (unit -> unit)) Queue.t;
       (* pending socket-to-process deliveries *)
   mutable delivering : bool;
@@ -111,71 +107,40 @@ let cksum_cost _t _len = T.zero
 let icmp_cksum_cost t len =
   Netsim.Costs.per_byte t.costs.Netsim.Costs.layer.cksum_ns_per_byte len
 
-let ether_send t route ~dst ~etype pkt =
+let ether_send t link ~dst ~etype pkt =
   krun t t.costs.Netsim.Costs.layer.ether_out (fun () ->
       Proto.Ether.encapsulate pkt
-        { Proto.Ether.dst; src = Netsim.Dev.mac route.dev; etype };
-      Netsim.Dev.transmit route.dev ~prio:Sim.Cpu.Interrupt pkt)
+        { Proto.Ether.dst; src = Netsim.Dev.mac link.dev; etype };
+      Netsim.Dev.transmit link.dev ~prio:Sim.Cpu.Interrupt pkt)
 
-let route_for t dst =
-  match
-    List.find_opt
-      (fun r -> Proto.Ipaddr.in_subnet dst ~net:r.net ~mask_bits:r.mask_bits)
-      t.routes
-  with
-  | Some r -> Some r
-  | None -> ( match t.routes with r :: _ -> Some r | [] -> None)
-
-let arp_resolve t route dst k =
+let arp_resolve t link dst k =
   let now = Sim.Engine.now t.engine in
-  match Proto.Arp.Cache.lookup route.arp ~now dst with
+  match Proto.Arp.Cache.lookup link.arp ~now dst with
   | Some mac -> k mac
   | None ->
-      Proto.Arp.Cache.wait route.arp dst k;
+      Proto.Arp.Cache.wait link.arp dst k;
       let req =
-        Proto.Arp.request ~sender_mac:(Netsim.Dev.mac route.dev)
+        Proto.Arp.request ~sender_mac:(Netsim.Dev.mac link.dev)
           ~sender_ip:(host_ip t) ~target_ip:dst
       in
-      ether_send t route ~dst:Proto.Ether.Mac.broadcast
+      ether_send t link ~dst:Proto.Ether.Mac.broadcast
         ~etype:Proto.Ether.etype_arp (Proto.Arp.to_packet req)
 
-let fresh_ip_id t =
-  let id = t.next_ip_id in
-  t.next_ip_id <- (t.next_ip_id + 1) land 0xffff;
-  id
+let emit t link dst pkt =
+  arp_resolve t link dst (fun mac ->
+      ether_send t link ~dst:mac ~etype:Proto.Ether.etype_ip pkt)
 
-(* IP output with fragmentation, all in kernel context. *)
+(* IP output, all in kernel context: one [ip_out] charge per packet the
+   payload becomes. *)
 let ip_send t ~proto ~dst payload =
-  match route_for t dst with
+  match Proto.Ipv4.route t.routes dst with
   | None -> invalid_arg "Du_stack.ip_send: no route"
-  | Some route ->
-      let mtu = Netsim.Dev.mtu route.dev in
-      let len = Mbuf.length payload in
-      let src = host_ip t in
-      if len + Proto.Ipv4.header_len <= mtu then
-        krun t t.costs.Netsim.Costs.layer.ip_out (fun () ->
-            Proto.Ipv4.encapsulate payload
-              (Proto.Ipv4.make ~id:(fresh_ip_id t) ~proto ~src ~dst
-                 ~payload_len:len ());
-            arp_resolve t route dst (fun mac ->
-                ether_send t route ~dst:mac ~etype:Proto.Ether.etype_ip payload))
-      else begin
-        let id = fresh_ip_id t in
-        (* fragments are zero-copy sub-chains of the payload *)
-        let frags = Proto.Ip_frag.fragment ~mtu payload in
-        krun t
-          (T.mul t.costs.Netsim.Costs.layer.ip_out (List.length frags))
-          (fun () ->
-            List.iter
-              (fun (off8, more, frag) ->
-                let frag_len = Mbuf.length frag in
-                Proto.Ipv4.encapsulate frag
-                  (Proto.Ipv4.make ~id ~more_fragments:more ~frag_offset:off8
-                     ~proto ~src ~dst ~payload_len:frag_len ());
-                arp_resolve t route dst (fun mac ->
-                    ether_send t route ~dst:mac ~etype:Proto.Ether.etype_ip frag))
-              frags)
-      end
+  | Some { link; _ } ->
+      let mtu = Netsim.Dev.mtu link.dev in
+      let n = Proto.Ip_frag.packet_count ~mtu (Mbuf.length payload) in
+      krun t (T.mul t.costs.Netsim.Costs.layer.ip_out n) (fun () ->
+          Proto.Ip_frag.output t.frag ~mtu ~proto ~src:(host_ip t) ~dst payload
+            (emit t link dst))
 
 (* ---- TCP plumbing ---------------------------------------------------- *)
 
@@ -321,81 +286,49 @@ let rx_icmp t (iph : Proto.Ipv4.header) v =
             ip_send t ~proto:Proto.Ipv4.proto_icmp ~dst:iph.src reply
         | _ -> ())
 
-let rx_ip t route pkt =
+let rx_l4 t (h : Proto.Ipv4.header) l4 =
+  if h.proto = Proto.Ipv4.proto_udp then rx_udp t h l4
+  else if h.proto = Proto.Ipv4.proto_tcp then rx_tcp t h l4
+  else if h.proto = Proto.Ipv4.proto_icmp then rx_icmp t h l4
+
+let rx_ip t pkt =
   krun t t.costs.Netsim.Costs.layer.ip_in (fun () ->
       let v = View.shift (View.ro (Mbuf.view pkt)) Proto.Ether.header_len in
-      match Proto.Ipv4.parse v with
-      | None -> t.counters.bad_checksum <- t.counters.bad_checksum + 1
-      | Some h ->
-          if not (Proto.Ipv4.checksum_valid v) then
-            t.counters.bad_checksum <- t.counters.bad_checksum + 1
-          else if
-            not
-              (Proto.Ipaddr.equal h.dst (host_ip t)
-              || Proto.Ipaddr.equal h.dst Proto.Ipaddr.broadcast)
-          then t.counters.not_ours <- t.counters.not_ours + 1
-          else begin
-            ignore route;
-            let deliver (h : Proto.Ipv4.header) l4 =
-              if h.proto = Proto.Ipv4.proto_udp then rx_udp t h l4
-              else if h.proto = Proto.Ipv4.proto_tcp then rx_tcp t h l4
-              else if h.proto = Proto.Ipv4.proto_icmp then rx_icmp t h l4
-            in
-            if h.more_fragments || h.frag_offset > 0 then begin
-              let payload =
-                View.sub v ~off:Proto.Ipv4.header_len
-                  ~len:(h.total_len - Proto.Ipv4.header_len)
-              in
-              match
-                Proto.Ip_frag.input t.frag ~now:(Sim.Engine.now t.engine) h
-                  payload
-              with
-              | None -> ()
-              | Some datagram ->
-                  let h = { h with more_fragments = false; frag_offset = 0 } in
-                  deliver h (View.ro (Mbuf.view datagram))
-            end
-            else begin
-              let l4_len = h.total_len - Proto.Ipv4.header_len in
-              let l4 =
-                View.sub v ~off:Proto.Ipv4.header_len
-                  ~len:(min l4_len (View.length v - Proto.Ipv4.header_len))
-              in
-              deliver h l4
-            end
-          end)
+      match
+        Proto.Ip_frag.receive t.frag ~now:(Sim.Engine.now t.engine)
+          ~host:(host_ip t) v
+      with
+      | Malformed -> t.counters.bad_checksum <- t.counters.bad_checksum + 1
+      | Not_ours -> t.counters.not_ours <- t.counters.not_ours + 1
+      | Whole h -> rx_l4 t h (Proto.Ipv4.payload v h)
+      | Held -> ()
+      | Reassembled (h, datagram) -> rx_l4 t h (View.ro (Mbuf.view datagram)))
 
-let rx_arp t route pkt =
+let rx_arp t link pkt =
   krun t t.costs.Netsim.Costs.layer.ether_in (fun () ->
-      let v = View.shift (View.ro (Mbuf.view pkt)) Proto.Ether.header_len in
-      match Proto.Arp.parse v with
-      | None -> ()
-      | Some msg ->
-          let now = Sim.Engine.now t.engine in
-          Proto.Arp.Cache.insert route.arp ~now msg.Proto.Arp.sender_ip
-            msg.Proto.Arp.sender_mac;
-          if
-            msg.Proto.Arp.op = Proto.Arp.op_request
-            && Proto.Ipaddr.equal msg.Proto.Arp.target_ip (host_ip t)
-          then
-            ether_send t route
-              ~dst:msg.Proto.Arp.sender_mac ~etype:Proto.Ether.etype_arp
-              (Proto.Arp.to_packet
-                 (Proto.Arp.reply_to msg ~mac:(Netsim.Dev.mac route.dev))))
+      match
+        Proto.Arp.answer link.arp ~now:(Sim.Engine.now t.engine)
+          ~ip:(host_ip t) ~mac:(Netsim.Dev.mac link.dev)
+          (View.shift (View.ro (Mbuf.view pkt)) Proto.Ether.header_len)
+      with
+      | Ignored | Learned _ -> ()
+      | Reply reply ->
+          ether_send t link ~dst:reply.Proto.Arp.target_mac
+            ~etype:Proto.Ether.etype_arp (Proto.Arp.to_packet reply))
 
-let rx t route (pkt : Mbuf.ro Mbuf.t) =
+let rx t link (pkt : Mbuf.ro Mbuf.t) =
   t.counters.rx <- t.counters.rx + 1;
   krun t t.costs.Netsim.Costs.layer.ether_in (fun () ->
       match Proto.Ether.parse (View.ro (Mbuf.view pkt)) with
       | None -> ()
       | Some h ->
           let mine =
-            Proto.Ether.Mac.equal h.dst (Netsim.Dev.mac route.dev)
+            Proto.Ether.Mac.equal h.dst (Netsim.Dev.mac link.dev)
             || Proto.Ether.Mac.equal h.dst Proto.Ether.Mac.broadcast
           in
           if mine then begin
-            if h.etype = Proto.Ether.etype_ip then rx_ip t route pkt
-            else if h.etype = Proto.Ether.etype_arp then rx_arp t route pkt
+            if h.etype = Proto.Ether.etype_ip then rx_ip t pkt
+            else if h.etype = Proto.Ether.etype_arp then rx_arp t link pkt
           end)
 
 (* ---- construction ----------------------------------------------------- *)
@@ -423,7 +356,6 @@ let create ?subnets host =
       tconns = Hashtbl.create 16;
       listeners = Hashtbl.create 8;
       next_ephemeral = 32768;
-      next_ip_id = 1;
       deliveries = Queue.create ();
       delivering = false;
       counters =
@@ -440,15 +372,17 @@ let create ?subnets host =
   in
   List.iter2
     (fun dev (net, mask_bits) ->
-      let route = { net; mask_bits; dev; arp = Proto.Arp.Cache.create () } in
-      t.routes <- t.routes @ [ route ];
-      Netsim.Dev.set_rx dev (fun ~polled:_ pkt -> rx t route pkt))
+      let link = { dev; arp = Proto.Arp.Cache.create () } in
+      t.routes <- t.routes @ [ { Proto.Ipv4.net; mask_bits; link } ];
+      Netsim.Dev.set_rx dev (fun ~polled:_ pkt -> rx t link pkt))
     devs subnets;
   t
 
 let prime_arp t ip mac =
   List.iter
-    (fun r -> Proto.Arp.Cache.insert r.arp ~now:(Sim.Engine.now t.engine) ip mac)
+    (fun r ->
+      Proto.Arp.Cache.insert r.Proto.Ipv4.link.arp
+        ~now:(Sim.Engine.now t.engine) ip mac)
     t.routes
 
 (* ---- user-level socket API -------------------------------------------- *)

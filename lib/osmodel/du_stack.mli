@@ -1,10 +1,13 @@
 (** The DIGITAL UNIX baseline: monolithic kernel stack + BSD sockets.
 
-    Runs the same wire formats, device models and TCP engine as Plexus;
-    differs only in OS structure (kernel-resident protocols, user-level
-    applications, traps/copies/context switches at the boundary).  This
-    isolates exactly the architectural comparison of the paper's
-    evaluation. *)
+    Runs the same wire formats, device models and TCP engine as Plexus,
+    and the same IP and ARP code: [Proto.Ip_frag.receive]/[output],
+    [Proto.Ipv4.route] and [Proto.Arp.answer].  It differs only in OS
+    structure — where CPU is charged (kernel-resident protocols at
+    interrupt level, user-level applications, traps/copies/context
+    switches at the boundary) and how datagrams are delivered (to
+    sockets).  This isolates exactly the architectural comparison of the
+    paper's evaluation. *)
 
 type t
 type udp_sock

@@ -7,10 +7,14 @@
    installs packet filters on the application's behalf; protocol code is
    the application's own), but the placement differs: the kernel only
    demultiplexes; every packet is copied to the application, which runs
-   the *same* protocol code (Ether/IP/UDP) at user level and re-enters
-   the kernel to transmit.  Plexus's claim is that its strategies are
-   "functionally identical to, although less costly than" this model —
-   quantified by the Figure 5 extension in `experiments/fig5.ml`. *)
+   the *same* protocol code at user level — [Proto.Ip_frag.receive] and
+   [output], the UDP codec — and re-enters the kernel to transmit; ARP
+   ([Proto.Arp.answer]) stays in the kernel.  Only where CPU is charged
+   ([urun], [krun], [Syscall]) and how datagrams reach sockets differ
+   from Plexus and the DIGITAL UNIX stack.  Plexus's claim is that its
+   strategies are "functionally identical to, although less costly
+   than" this model — quantified by the Figure 5 extension in
+   `experiments/fig5.ml`. *)
 
 module T = Sim.Stime
 
@@ -39,7 +43,6 @@ type t = {
   arp : Proto.Arp.Cache.t;
   socks : (int, usock) Hashtbl.t;
   frag : Proto.Ip_frag.t;
-  mutable next_ip_id : int;
   counters : counters;
 }
 
@@ -54,6 +57,24 @@ let cksum_cost t len =
 
 (* ---- user-level receive path ------------------------------------------ *)
 
+let deliver t (h : Proto.Ipv4.header) l4 =
+  let lay = t.costs.Netsim.Costs.layer in
+  urun t (T.add lay.udp_in (cksum_cost t (View.length l4))) (fun () ->
+      if Proto.Udp.valid ~src:h.src ~dst:h.dst l4 then
+        match Proto.Udp.parse l4 with
+        | Some uh -> (
+            match Hashtbl.find_opt t.socks uh.Proto.Udp.dst_port with
+            | Some sock ->
+                t.counters.delivered <- t.counters.delivered + 1;
+                let data =
+                  View.get_string l4 ~off:Proto.Udp.header_len
+                    ~len:(View.length l4 - Proto.Udp.header_len)
+                in
+                urun t lay.app (fun () ->
+                    sock.u_on_recv ~src:(h.src, uh.Proto.Udp.src_port) data)
+            | None -> ())
+        | None -> ())
+
 (* Runs in the application's address space: the same protocol layers as
    the kernel implementations, charged at thread priority. *)
 let user_process t (pkt : string) =
@@ -64,62 +85,23 @@ let user_process t (pkt : string) =
       | Some eh when eh.Proto.Ether.etype = Proto.Ether.etype_ip ->
           urun t lay.ip_in (fun () ->
               let ipv = View.shift v Proto.Ether.header_len in
-              match Proto.Ipv4.parse ipv with
-              | Some h
-                when Proto.Ipv4.checksum_valid ipv
-                     && Proto.Ipaddr.equal h.Proto.Ipv4.dst (host_ip t) ->
-                  let deliver payload_view (h : Proto.Ipv4.header) =
-                    urun t
-                      (T.add lay.udp_in (cksum_cost t (View.length payload_view)))
-                      (fun () ->
-                        if Proto.Udp.valid ~src:h.src ~dst:h.dst payload_view
-                        then
-                          match Proto.Udp.parse payload_view with
-                          | Some uh -> (
-                              match Hashtbl.find_opt t.socks uh.Proto.Udp.dst_port with
-                              | Some sock ->
-                                  t.counters.delivered <-
-                                    t.counters.delivered + 1;
-                                  let data =
-                                    View.get_string payload_view
-                                      ~off:Proto.Udp.header_len
-                                      ~len:
-                                        (View.length payload_view
-                                        - Proto.Udp.header_len)
-                                  in
-                                  urun t lay.app (fun () ->
-                                      sock.u_on_recv
-                                        ~src:(h.src, uh.Proto.Udp.src_port)
-                                        data)
-                              | None -> ())
-                          | None -> ())
-                  in
-                  if h.Proto.Ipv4.more_fragments || h.Proto.Ipv4.frag_offset > 0
-                  then begin
-                    let payload =
-                      View.sub ipv ~off:Proto.Ipv4.header_len
-                        ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len)
-                    in
-                    match
-                      Proto.Ip_frag.input t.frag
-                        ~now:(Sim.Engine.now t.engine) h payload
-                    with
-                    | Some datagram -> deliver (View.ro (Mbuf.view datagram)) h
-                    | None -> ()
-                  end
-                  else begin
-                    let l4_len = h.Proto.Ipv4.total_len - Proto.Ipv4.header_len in
-                    let l4 =
-                      View.sub ipv ~off:Proto.Ipv4.header_len
-                        ~len:
-                          (min l4_len (View.length ipv - Proto.Ipv4.header_len))
-                    in
-                    deliver l4 h
-                  end
-              | _ -> ())
+              match
+                Proto.Ip_frag.receive t.frag ~now:(Sim.Engine.now t.engine)
+                  ~host:(host_ip t) ipv
+              with
+              | Whole h -> deliver t h (Proto.Ipv4.payload ipv h)
+              | Reassembled (h, datagram) ->
+                  deliver t h (View.ro (Mbuf.view datagram))
+              | Malformed | Not_ours | Held -> ())
       | _ -> ())
 
 (* ---- kernel side -------------------------------------------------------- *)
+
+(* Frames the library must see: IP for this host (any fragment). *)
+let for_library t v =
+  match Proto.Ipv4.parse (View.shift v Proto.Ether.header_len) with
+  | Some h -> Proto.Ipv4.for_host ~host:(host_ip t) h.Proto.Ipv4.dst
+  | None -> false
 
 let rx t (pkt : Mbuf.ro Mbuf.t) =
   t.counters.rx <- t.counters.rx + 1;
@@ -128,55 +110,37 @@ let rx t (pkt : Mbuf.ro Mbuf.t) =
      the real port check; its cost is the flat BPF-interpretation fee.) *)
   krun t filter_cost (fun () ->
       let v = View.ro (Mbuf.view pkt) in
-      let accept =
-        match Proto.Ether.parse v with
-        | Some eh when eh.Proto.Ether.etype = Proto.Ether.etype_ip ->
-            (* frames the library must see: IP for us (any fragment) *)
-            (match Proto.Ipv4.parse (View.shift v Proto.Ether.header_len) with
-            | Some h -> Proto.Ipaddr.equal h.Proto.Ipv4.dst (host_ip t)
-            | None -> false)
-        | Some eh when eh.Proto.Ether.etype = Proto.Ether.etype_arp -> true
-        | _ -> false
-      in
-      if not accept then t.counters.filtered_out <- t.counters.filtered_out + 1
-      else begin
-        let data = Mbuf.to_string pkt in
-        match Proto.Ether.parse v with
-        | Some eh when eh.Proto.Ether.etype = Proto.Ether.etype_arp ->
-            (* ARP stays in the kernel (it is address management, not an
-               application protocol) *)
-            let av = View.shift v Proto.Ether.header_len in
-            (match Proto.Arp.parse av with
-            | Some msg ->
-                Proto.Arp.Cache.insert t.arp ~now:(Sim.Engine.now t.engine)
-                  msg.Proto.Arp.sender_ip msg.Proto.Arp.sender_mac;
-                if
-                  msg.Proto.Arp.op = Proto.Arp.op_request
-                  && Proto.Ipaddr.equal msg.Proto.Arp.target_ip (host_ip t)
-                then begin
-                  let reply =
-                    Proto.Arp.to_packet
-                      (Proto.Arp.reply_to msg ~mac:(Netsim.Dev.mac t.dev))
-                  in
-                  Proto.Ether.encapsulate reply
-                    {
-                      Proto.Ether.dst = msg.Proto.Arp.sender_mac;
-                      src = Netsim.Dev.mac t.dev;
-                      etype = Proto.Ether.etype_arp;
-                    };
-                  Netsim.Dev.transmit t.dev ~prio:Sim.Cpu.Interrupt reply
-                end
-            | None -> ())
-        | _ ->
-            (* copy the whole frame out to the library and wake it *)
-            Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread
-              ~cost:
-                (T.add
-                   (T.add t.costs.Netsim.Costs.os.wakeup
-                      t.costs.Netsim.Costs.os.ctx_switch)
-                   (Syscall.copy_cost t.costs (String.length data)))
-              (fun () -> user_process t data)
-      end)
+      match Proto.Ether.parse v with
+      | Some eh when eh.Proto.Ether.etype = Proto.Ether.etype_arp -> (
+          (* ARP stays in the kernel (it is address management, not an
+             application protocol) *)
+          match
+            Proto.Arp.answer t.arp ~now:(Sim.Engine.now t.engine)
+              ~ip:(host_ip t) ~mac:(Netsim.Dev.mac t.dev)
+              (View.shift v Proto.Ether.header_len)
+          with
+          | Ignored | Learned _ -> ()
+          | Reply reply ->
+              let pkt = Proto.Arp.to_packet reply in
+              Proto.Ether.encapsulate pkt
+                {
+                  Proto.Ether.dst = reply.Proto.Arp.target_mac;
+                  src = Netsim.Dev.mac t.dev;
+                  etype = Proto.Ether.etype_arp;
+                };
+              Netsim.Dev.transmit t.dev ~prio:Sim.Cpu.Interrupt pkt)
+      | Some eh
+        when eh.Proto.Ether.etype = Proto.Ether.etype_ip && for_library t v ->
+          (* copy the whole frame out to the library and wake it *)
+          let data = Mbuf.to_string pkt in
+          Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread
+            ~cost:
+              (T.add
+                 (T.add t.costs.Netsim.Costs.os.wakeup
+                    t.costs.Netsim.Costs.os.ctx_switch)
+                 (Syscall.copy_cost t.costs (String.length data)))
+            (fun () -> user_process t data)
+      | _ -> t.counters.filtered_out <- t.counters.filtered_out + 1)
 
 let create host =
   let dev =
@@ -194,7 +158,6 @@ let create host =
       arp = Proto.Arp.Cache.create ();
       socks = Hashtbl.create 8;
       frag = Proto.Ip_frag.create ();
-      next_ip_id = 1;
       counters = { rx = 0; delivered = 0; filtered_out = 0; tx = 0 };
     }
   in
@@ -230,36 +193,18 @@ let udp_sendto t sock ~dst:(dip, dport) data =
       let datagram = Mbuf.of_string data in
       Proto.Udp.encapsulate datagram ~src:(host_ip t) ~dst:dip
         ~src_port:sock.u_port ~dst_port:dport;
-      t.next_ip_id <- (t.next_ip_id + 1) land 0xffff;
-      let id = t.next_ip_id in
       let mac =
         match Proto.Arp.Cache.lookup t.arp ~now:(Sim.Engine.now t.engine) dip with
         | Some mac -> mac
         | None -> Proto.Ether.Mac.broadcast (* experiments prime the cache *)
       in
-      let emit frag =
-        Proto.Ether.encapsulate frag
-          { Proto.Ether.dst = mac; src = Netsim.Dev.mac t.dev;
-            etype = Proto.Ether.etype_ip };
-        (* ...each packet crosses into the kernel, which only drives the
-           device *)
-        Syscall.enter t.cpu t.costs ~len:(Mbuf.length frag) (fun () ->
-            Netsim.Dev.transmit t.dev ~prio:Sim.Cpu.Interrupt frag)
-      in
-      let mtu = Netsim.Dev.mtu t.dev in
-      if Mbuf.length datagram + Proto.Ipv4.header_len <= mtu then begin
-        Proto.Ipv4.encapsulate datagram
-          (Proto.Ipv4.make ~id ~proto:Proto.Ipv4.proto_udp ~src:(host_ip t)
-             ~dst:dip ~payload_len:(Mbuf.length datagram) ());
-        emit datagram
-      end
-      else
-        List.iter
-          (fun (off8, more, frag) ->
-            let frag_len = Mbuf.length frag in
-            Proto.Ipv4.encapsulate frag
-              (Proto.Ipv4.make ~id ~more_fragments:more ~frag_offset:off8
-                 ~proto:Proto.Ipv4.proto_udp ~src:(host_ip t) ~dst:dip
-                 ~payload_len:frag_len ());
-            emit frag)
-          (Proto.Ip_frag.fragment ~mtu datagram))
+      Proto.Ip_frag.output t.frag ~mtu:(Netsim.Dev.mtu t.dev)
+        ~proto:Proto.Ipv4.proto_udp ~src:(host_ip t) ~dst:dip datagram
+        (fun pkt ->
+          Proto.Ether.encapsulate pkt
+            { Proto.Ether.dst = mac; src = Netsim.Dev.mac t.dev;
+              etype = Proto.Ether.etype_ip };
+          (* ...each packet crosses into the kernel, which only drives
+             the device *)
+          Syscall.enter t.cpu t.costs ~len:(Mbuf.length pkt) (fun () ->
+              Netsim.Dev.transmit t.dev ~prio:Sim.Cpu.Interrupt pkt)))

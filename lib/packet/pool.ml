@@ -127,13 +127,6 @@ let release_n t n =
 let alloc t ?headroom len =
   if reserve t then Some (Mbuf.alloc ?headroom len) else None
 
-let alloc_string t s =
-  match alloc t (String.length s) with
-  | None -> None
-  | Some m ->
-      View.set_string (Mbuf.view m) ~off:0 s;
-      Some m
-
 let free t (m : _ Mbuf.t) =
   Mbuf.free m;
   release t

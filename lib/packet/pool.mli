@@ -34,8 +34,6 @@ val release_n : t -> int -> unit
 val alloc : t -> ?headroom:int -> int -> Mbuf.rw Mbuf.t option
 (** [None] when the pool is exhausted (counted as a failure). *)
 
-val alloc_string : t -> string -> Mbuf.rw Mbuf.t option
-
 val free : t -> _ Mbuf.t -> unit
 (** Free the buffer and release its slot.
     @raise Invalid_argument on double free (from {!Mbuf.free} or slot

@@ -13,23 +13,23 @@ type message = {
   target_ip : Ipaddr.t;
 }
 
-let parse v =
-  if View.length v < packet_len then None
-  else if
-    View.get_u16 v 0 <> 1 (* htype ethernet *)
-    || View.get_u16 v 2 <> Ether.etype_ip
-    || View.get_u8 v 4 <> 6
-    || View.get_u8 v 5 <> 4
-  then None
-  else
-    Some
-      {
-        op = View.get_u16 v 6;
-        sender_mac = Ether.Mac.of_int (Ether.get_u48 v 8);
-        sender_ip = Ipaddr.of_int (View.get_u32 v 14);
-        target_mac = Ether.Mac.of_int (Ether.get_u48 v 18);
-        target_ip = Ipaddr.of_int (View.get_u32 v 24);
-      }
+let well_formed v =
+  View.length v >= packet_len
+  && View.get_u16 v 0 = 1 (* htype ethernet *)
+  && View.get_u16 v 2 = Ether.etype_ip
+  && View.get_u8 v 4 = 6
+  && View.get_u8 v 5 = 4
+
+let decode v =
+  {
+    op = View.get_u16 v 6;
+    sender_mac = Ether.Mac.of_int (Ether.get_u48 v 8);
+    sender_ip = Ipaddr.of_int (View.get_u32 v 14);
+    target_mac = Ether.Mac.of_int (Ether.get_u48 v 18);
+    target_ip = Ipaddr.of_int (View.get_u32 v 24);
+  }
+
+let parse v = if well_formed v then Some (decode v) else None
 
 let to_packet m =
   let pkt = Mbuf.alloc packet_len in
@@ -112,6 +112,19 @@ module Cache = struct
 
   let size t = Hashtbl.length t.entries
 end
+
+type answer = Ignored | Learned of Ipaddr.t | Reply of message
+
+(* One ARP input for every stack: learn the sender, then owe a reply if
+   the request is for us. *)
+let answer cache ~now ~ip ~mac v =
+  if not (well_formed v) then Ignored
+  else
+    let m = decode v in
+    Cache.insert cache ~now m.sender_ip m.sender_mac;
+    if m.op = op_request && Ipaddr.equal m.target_ip ip then
+      Reply (reply_to m ~mac)
+    else Learned m.sender_ip
 
 let pp_message ppf m =
   Fmt.pf ppf "arp{%s %a(%a) -> %a}"

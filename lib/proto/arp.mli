@@ -43,4 +43,18 @@ module Cache : sig
   val size : t -> int
 end
 
+type answer =
+  | Ignored  (** not an ARP message for IPv4 over Ethernet *)
+  | Learned of Ipaddr.t  (** the sender's address was cached; nothing owed *)
+  | Reply of message
+      (** the sender was cached and asked for our address: the reply owed
+          to it (its [target_ip] and [target_mac] are the sender's) *)
+
+val answer :
+  Cache.t -> now:Sim.Stime.t -> ip:Ipaddr.t -> mac:Ether.Mac.t -> _ View.t ->
+  answer
+(** Handle an arriving ARP message for the host at [ip]/[mac]: cache the
+    sender's mapping (firing continuations waiting on it) and say what
+    reply, if any, is owed. *)
+
 val pp_message : Format.formatter -> message -> unit

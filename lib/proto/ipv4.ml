@@ -1,5 +1,5 @@
-(* IPv4: header codec, fragmentation fields, protocol numbers and a
-   minimal routing decision.  No options are supported (IHL is always 5),
+(* IPv4: header codec, fragmentation fields, protocol numbers and the
+   routing decision.  No options are supported (IHL is always 5),
    matching the traffic the paper's experiments generate. *)
 
 let header_len = 20
@@ -38,28 +38,25 @@ let make ?(tos = 0) ?(id = 0) ?(dont_fragment = false) ?(more_fragments = false)
     dst;
   }
 
-let parse v =
-  if View.length v < header_len then None
-  else begin
-    let vihl = View.get_u8 v 0 in
-    if vihl lsr 4 <> 4 || vihl land 0xf <> 5 then None
-    else begin
-      let flags_frag = View.get_u16 v 6 in
-      Some
-        {
-          tos = View.get_u8 v 1;
-          total_len = View.get_u16 v 2;
-          id = View.get_u16 v 4;
-          dont_fragment = flags_frag land 0x4000 <> 0;
-          more_fragments = flags_frag land 0x2000 <> 0;
-          frag_offset = flags_frag land 0x1fff;
-          ttl = View.get_u8 v 8;
-          proto = View.get_u8 v 9;
-          src = Ipaddr.of_int (View.get_u32 v 12);
-          dst = Ipaddr.of_int (View.get_u32 v 16);
-        }
-    end
-  end
+(* Version 4, IHL 5. *)
+let well_formed v = View.length v >= header_len && View.get_u8 v 0 = 0x45
+
+let decode v =
+  let flags_frag = View.get_u16 v 6 in
+  {
+    tos = View.get_u8 v 1;
+    total_len = View.get_u16 v 2;
+    id = View.get_u16 v 4;
+    dont_fragment = flags_frag land 0x4000 <> 0;
+    more_fragments = flags_frag land 0x2000 <> 0;
+    frag_offset = flags_frag land 0x1fff;
+    ttl = View.get_u8 v 8;
+    proto = View.get_u8 v 9;
+    src = Ipaddr.of_int (View.get_u32 v 12);
+    dst = Ipaddr.of_int (View.get_u32 v 16);
+  }
+
+let parse v = if well_formed v then Some (decode v) else None
 
 let write v h =
   View.set_u8 v 0 0x45;
@@ -83,6 +80,34 @@ let write v h =
 let checksum_valid v =
   View.length v >= header_len
   && Cksum.valid (View.sub (View.ro v) ~off:0 ~len:header_len)
+
+(* Everything a receiver checks before it trusts a header: structure,
+   checksum, and a total length that covers the header and fits in what
+   arrived (the rest is link-layer padding). *)
+let valid v =
+  well_formed v && checksum_valid v
+  &&
+  let total_len = View.get_u16 v 2 in
+  total_len >= header_len && total_len <= View.length v
+
+let payload_len h = h.total_len - header_len
+let payload v h = View.sub v ~off:header_len ~len:(payload_len h)
+
+let for_host ~host dst =
+  Ipaddr.equal dst host || Ipaddr.equal dst Ipaddr.broadcast
+
+type 'a route = { net : Ipaddr.t; mask_bits : int; link : 'a }
+
+(* The first route whose subnet holds [dst]; else the first route, the
+   default. *)
+let route routes dst =
+  match
+    List.find_opt
+      (fun r -> Ipaddr.in_subnet dst ~net:r.net ~mask_bits:r.mask_bits)
+      routes
+  with
+  | Some _ as r -> r
+  | None -> ( match routes with r :: _ -> Some r | [] -> None)
 
 (* Push an IP header onto a packet whose current contents are the
    payload. *)

@@ -42,10 +42,6 @@ type header = {
 val parse : _ View.t -> (header * int) option
 (** [(header, data_offset_bytes)] of the segment at the view's start. *)
 
-val write : View.rw View.t -> header -> unit
-
-val compute_cksum : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> int
-
 val to_packet :
   src:Ipaddr.t -> dst:Ipaddr.t -> header -> string -> Mbuf.rw Mbuf.t
 (** Encode a checksummed segment (header + payload). *)

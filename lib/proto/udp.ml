@@ -24,12 +24,6 @@ let write v { src_port; dst_port; len; cksum } =
   View.set_u16 v 4 len;
   View.set_u16 v 6 cksum
 
-let compute_cksum ~src ~dst v =
-  let pseudo = Ipv4.pseudo_header ~src ~dst ~proto:Ipv4.proto_udp ~len:(View.length v) in
-  match Cksum.of_views [ pseudo; View.ro v ] with
-  | 0 -> 0xffff (* RFC 768: transmitted as all-ones when it computes to 0 *)
-  | c -> c
-
 (* Prepend a UDP header to a payload packet.  [checksum:false] writes 0,
    which RFC 768 defines as "no checksum".  The checksum folds over the
    chain's segments in place — a scatter-gather payload is neither pulled

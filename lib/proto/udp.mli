@@ -8,10 +8,6 @@ val header_len : int
 type header = { src_port : int; dst_port : int; len : int; cksum : int }
 
 val parse : _ View.t -> header option
-val write : View.rw View.t -> header -> unit
-
-val compute_cksum : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> int
-(** Checksum of a full datagram view whose checksum field is zero. *)
 
 val encapsulate :
   ?checksum:bool -> Mbuf.rw Mbuf.t -> src:Ipaddr.t -> dst:Ipaddr.t ->

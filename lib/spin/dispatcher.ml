@@ -50,7 +50,7 @@
    increments whether or not a registry is attached (the refs are
    simply shared with the registry when one is). *)
 
-type delivery = Interrupt | Thread
+type delivery = Sim.Cpu.prio = Interrupt | Thread
 
 type costs = {
   dispatch : Sim.Stime.t;      (* per-raise bookkeeping, ~ a procedure call *)
@@ -1156,16 +1156,6 @@ let flow_leave d = function
       if r.rec_pending = 0 then rec_finish d r
   | No_flow | Replaying _ -> ()
 
-(* The priority a raise runs at: the event's delivery mode unless an
-   override is in force (the demoted polled path). *)
-let prio_of ev over =
-  match over with
-  | Some p -> p
-  | None -> (
-      match ev.mode with
-      | Interrupt -> Sim.Cpu.Interrupt
-      | Thread -> Sim.Cpu.Thread)
-
 (* Drain bookkeeping shared by both handler kinds: every queued
    invocation holds a [pending] reference; the last one out of a
    [Retired] handler finalizes it (live <- false), which is the swap
@@ -1251,7 +1241,8 @@ let schedule ev v h flow over ~cost ~run_ns eph =
   let d = ev.disp in
   flow_enter flow;
   handler_enter h;
-  Sim.Cpu.run d.cpu ~prio:(prio_of ev over) ~cost (fun () ->
+  Sim.Cpu.run d.cpu ~prio:(Option.value over ~default:ev.mode) ~cost
+    (fun () ->
       invoke ev v h flow over ~run_ns eph;
       handler_leave d h;
       flow_leave d flow)
@@ -1348,7 +1339,9 @@ let raise_tree ?over ev v flow =
             (Sim.Stime.mul d.costs.tree_node visited)
             (Sim.Stime.mul d.costs.guard n_resid)))
   in
-  let prio = prio_of ev over in
+  (* the event's delivery mode unless an override is in force (the
+     demoted polled path) *)
+  let prio = Option.value over ~default:ev.mode in
   flow_enter flow;
   let gen_at_raise = !(ev.gen) in
   Sim.Cpu.run d.cpu ~prio ~cost:demux_cost (fun () ->

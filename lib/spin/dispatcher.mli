@@ -26,7 +26,7 @@
 type t
 (** One dispatcher per kernel; owns the delivery cost model and counters. *)
 
-type delivery =
+type delivery = Sim.Cpu.prio =
   | Interrupt  (** run handlers in the raiser's interrupt context *)
   | Thread     (** spawn a thread per handler invocation *)
 

@@ -214,10 +214,51 @@ let tcp_input_fuzz =
       | () -> true
       | exception _ -> false)
 
+(* Headers with a correct checksum but any total_len, flags and offset,
+   over a body of any length: the shared IP input classifies every one
+   without raising, and a whole datagram's payload lies inside the
+   frame.  One reassembly state sees every case. *)
+let ip_receive_fuzz =
+  let host = Proto.Ipaddr.v 10 0 0 2 in
+  let frag = Proto.Ip_frag.create () in
+  QCheck.Test.make ~count:500 ~name:"Ip_frag.receive total on checksummed headers"
+    QCheck.(
+      quad
+        (make Gen.(oneof [ int_bound 0xffff; int_bound 160 ]))
+        (int_bound 0xffff) (int_bound 120) bool)
+    (fun (total_len, flags_frag, body, ours) ->
+      let v = View.create (Proto.Ipv4.header_len + body) in
+      Proto.Ipv4.write v
+        {
+          (Proto.Ipv4.make ~proto:17 ~src:(Proto.Ipaddr.v 10 0 0 1)
+             ~dst:(if ours then host else Proto.Ipaddr.v 10 0 0 3)
+             ~payload_len:0 ())
+          with
+          total_len;
+          more_fragments = flags_frag land 0x2000 <> 0;
+          frag_offset = flags_frag land 0x1fff;
+        };
+      match Proto.Ip_frag.receive frag ~now:Sim.Stime.zero ~host v with
+      | Whole h -> Proto.Ipv4.header_len + Proto.Ipv4.payload_len h <= View.length v
+      | Malformed | Not_ours | Held | Reassembled _ -> true)
+
+let arp_cache = Proto.Arp.Cache.create ()
+
 let suite =
   suite
   @ [
-      ("fuzz.parsers", List.map prop parser_fuzz @ [ prop http_fuzz ]);
+      ( "fuzz.parsers",
+        List.map prop parser_fuzz
+        @ [
+            prop http_fuzz;
+            prop ip_receive_fuzz;
+            prop
+              (never_raises "Arp.answer total" (fun v ->
+                   ignore
+                     (Proto.Arp.answer arp_cache ~now:Sim.Stime.zero
+                        ~ip:(Proto.Ipaddr.v 10 0 0 2)
+                        ~mac:(Proto.Ether.Mac.of_int 2) v)));
+          ] );
       ("fuzz.tcp", [ prop tcp_input_fuzz ]);
     ]
 

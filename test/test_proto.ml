@@ -852,3 +852,214 @@ let suite =
       ( "proto.tcp_teardown",
         [ tc "no stray delayed ACK" tcp_no_stray_ack_after_abort ] );
     ]
+
+(* ---- the shared IP and ARP core ---------------------------------------- *)
+
+(* An IP datagram to [dst] carrying [body], followed by [pad] bytes of
+   link-layer padding; [edit] adjusts the header before it is written. *)
+let ip_frame ?(dst = ip_b) ?(pad = 0) ?(edit = Fun.id) body =
+  let len = String.length body in
+  let v = View.create (Proto.Ipv4.header_len + len + pad) in
+  Proto.Ipv4.write v
+    (edit
+       (Proto.Ipv4.make ~id:9 ~proto:17 ~src:ip_a ~dst ~payload_len:len ()));
+  View.set_string v ~off:Proto.Ipv4.header_len body;
+  View.ro v
+
+let receive ?(t = Proto.Ip_frag.create ()) v =
+  Proto.Ip_frag.receive t ~now:Sim.Stime.zero ~host:ip_b v
+
+let ip_receive_verdicts () =
+  let verdict v =
+    match receive v with
+    | Proto.Ip_frag.Malformed -> "malformed"
+    | Not_ours -> "not ours"
+    | Whole h -> "whole " ^ View.to_string (Proto.Ipv4.payload v h)
+    | Held -> "held"
+    | Reassembled _ -> "reassembled"
+  in
+  let check name want v = Alcotest.(check string) name want (verdict v) in
+  check "padding is not payload" "whole data" (ip_frame ~pad:6 "data");
+  check "broadcast is ours" "whole data"
+    (ip_frame ~dst:Proto.Ipaddr.broadcast "data");
+  check "another host's" "not ours" (ip_frame ~dst:ip_a "data");
+  let bad = View.create 24 in
+  View.blit ~src:(ip_frame "data") ~dst:bad ~src_off:0 ~dst_off:0 ~len:24;
+  View.set_u8 bad 8 1;
+  check "bad header checksum" "malformed" (View.ro bad);
+  List.iter
+    (fun (name, total_len, more_fragments) ->
+      check name "malformed"
+        (ip_frame
+           ~edit:(fun h -> { h with Proto.Ipv4.total_len; more_fragments })
+           "data"))
+    [
+      ("total_len below the header", 10, false);
+      ("total_len past the frame", 25, false);
+      ("fragment, total_len below the header", 10, true);
+      ("fragment, total_len past the frame", 904, true);
+    ];
+  check "short" "malformed" (View.of_string "\x45\x00")
+
+let ip_receive_reassembles () =
+  let t = Proto.Ip_frag.create () in
+  let frag ~off8 ~more body =
+    ip_frame
+      ~edit:(fun h ->
+        { h with Proto.Ipv4.frag_offset = off8; more_fragments = more })
+      body
+  in
+  (match receive ~t (frag ~off8:0 ~more:true "12345678") with
+  | Held -> ()
+  | _ -> Alcotest.fail "first fragment not held");
+  match receive ~t (frag ~off8:1 ~more:false "9") with
+  | Reassembled (h, d) ->
+      Alcotest.(check string) "datagram" "123456789" (Mbuf.to_string d);
+      Alcotest.(check int) "total_len of the whole" 29 h.Proto.Ipv4.total_len;
+      Alcotest.(check bool) "no fragment fields" true
+        ((not h.Proto.Ipv4.more_fragments) && h.Proto.Ipv4.frag_offset = 0)
+  | _ -> Alcotest.fail "last fragment did not complete the datagram"
+
+(* Fragments that clash with what is held are dropped: a last fragment
+   ending before a held chunk, or a fragment starting past the known end
+   (reassembly once blitted past the datagram and raised), and an
+   overlap (once counted twice, completing the datagram with a hole of
+   zeros). *)
+let ip_receive_clashing_fragments () =
+  let frag t ~id ~off8 ~more body =
+    receive ~t
+      (ip_frame
+         ~edit:(fun h ->
+           { h with Proto.Ipv4.id; frag_offset = off8; more_fragments = more })
+         body)
+  in
+  let held name = function
+    | Proto.Ip_frag.Held -> ()
+    | _ -> Alcotest.fail (name ^ ": not held")
+  in
+  let t = Proto.Ip_frag.create () in
+  held "chunk at 16" (frag t ~id:1 ~off8:2 ~more:true "ABCDEFGH");
+  held "last fragment ending before it"
+    (frag t ~id:1 ~off8:1 ~more:false "short");
+  held "[0, 16)" (frag t ~id:2 ~off8:0 ~more:true "0123456789abcdef");
+  held "overlapping [8, 24)" (frag t ~id:2 ~off8:1 ~more:true "xxxxxxxxyyyyyyyy");
+  held "last [32, 40)" (frag t ~id:2 ~off8:4 ~more:false "WXYZwxyz");
+  (match frag t ~id:2 ~off8:2 ~more:true "ghijklmnopqrstuv" with
+  | Reassembled (_, d) ->
+      Alcotest.(check string) "no hole, no overlap"
+        "0123456789abcdefghijklmnopqrstuvWXYZwxyz" (Mbuf.to_string d)
+  | _ -> Alcotest.fail "the missing [16, 32) did not complete the datagram");
+  held "last [8, 16)" (frag t ~id:3 ~off8:1 ~more:false "IJKLMNOP");
+  held "[24, 32), past the end" (frag t ~id:3 ~off8:3 ~more:true "########");
+  match frag t ~id:3 ~off8:0 ~more:true "ABCDEFGH" with
+  | Reassembled (_, d) ->
+      Alcotest.(check string) "nothing past the end" "ABCDEFGHIJKLMNOP"
+        (Mbuf.to_string d)
+  | _ -> Alcotest.fail "the missing [0, 8) did not complete the datagram"
+
+(* What [output] sends, fed back to [receive], is the payload again, in
+   [packet_count] packets that each fit the MTU and share one id. *)
+let ip_output_roundtrip =
+  QCheck.Test.make ~name:"output/receive roundtrip at packet_count"
+    QCheck.(pair (string_of_size Gen.(0 -- 9000)) (int_range 29 9180))
+    (fun (payload, mtu) ->
+      let tx = Proto.Ip_frag.create () and rx = Proto.Ip_frag.create () in
+      let pkts = ref [] in
+      Proto.Ip_frag.output tx ~mtu ~proto:17 ~src:ip_a ~dst:ip_b
+        (Mbuf.of_string payload) (fun p -> pkts := Mbuf.to_string p :: !pkts);
+      let pkts = List.rev !pkts in
+      let ids =
+        List.sort_uniq compare
+          (List.map (fun p -> View.get_u16 (View.of_string p) 4) pkts)
+      in
+      let got =
+        List.fold_left
+          (fun acc p ->
+            let v = View.of_string p in
+            match receive ~t:rx v with
+            | Whole h -> Some (View.to_string (Proto.Ipv4.payload v h))
+            | Reassembled (_, d) -> Some (Mbuf.to_string d)
+            | Held -> acc
+            | Malformed | Not_ours -> None)
+          None pkts
+      in
+      List.length pkts
+      = Proto.Ip_frag.packet_count ~mtu (String.length payload)
+      && List.for_all (fun p -> String.length p <= mtu) pkts
+      && ids = [ 1 ]
+      && got = Some payload)
+
+(* T3's 4470-byte MTU leaves 4450 payload bytes whole but only 4448 per
+   fragment: the whole/fragment decision is by MTU, not by fragment size. *)
+let ip_packet_count_at_mtu () =
+  List.iter
+    (fun (mtu, len, want) ->
+      Alcotest.(check int)
+        (Printf.sprintf "mtu %d, %d bytes" mtu len)
+        want
+        (Proto.Ip_frag.packet_count ~mtu len))
+    [ (1500, 1480, 1); (1500, 1481, 2); (4470, 4450, 1); (4470, 4451, 2);
+      (4470, 8896, 2); (4470, 8897, 3) ]
+
+let ip_route () =
+  let r net mask_bits link = { Proto.Ipv4.net; mask_bits; link } in
+  let routes =
+    [ r (Proto.Ipaddr.v 10 0 0 0) 24 "lan"; r (Proto.Ipaddr.v 10 1 0 0) 16 "wan" ]
+  in
+  let via dst =
+    Option.map (fun r -> r.Proto.Ipv4.link) (Proto.Ipv4.route routes dst)
+  in
+  Alcotest.(check (option string)) "subnet match" (Some "wan")
+    (via (Proto.Ipaddr.v 10 1 7 7));
+  Alcotest.(check (option string)) "else the first route" (Some "lan")
+    (via (Proto.Ipaddr.v 192 168 0 1));
+  Alcotest.(check (option string)) "no routes" None
+    (Option.map (fun r -> r.Proto.Ipv4.link)
+       (Proto.Ipv4.route [] (Proto.Ipaddr.v 10 1 7 7)))
+
+let arp_answer () =
+  let c = Proto.Arp.Cache.create () in
+  let mac_a = Proto.Ether.Mac.of_int 0xa and mac_b = Proto.Ether.Mac.of_int 0xb in
+  let answer m =
+    Proto.Arp.answer c ~now:Sim.Stime.zero ~ip:ip_b ~mac:mac_b
+      (View.ro (Mbuf.view (Proto.Arp.to_packet m)))
+  in
+  (match
+     answer (Proto.Arp.request ~sender_mac:mac_a ~sender_ip:ip_a ~target_ip:ip_b)
+   with
+  | Reply r ->
+      Alcotest.(check bool) "reply is Arp.reply_to" true
+        (r = Proto.Arp.reply_to
+               (Proto.Arp.request ~sender_mac:mac_a ~sender_ip:ip_a
+                  ~target_ip:ip_b)
+               ~mac:mac_b)
+  | _ -> Alcotest.fail "request for us not answered");
+  Alcotest.(check bool) "sender learned" true
+    (Proto.Arp.Cache.lookup c ~now:Sim.Stime.zero ip_a = Some mac_a);
+  (match
+     answer
+       (Proto.Arp.request ~sender_mac:mac_a ~sender_ip:(Proto.Ipaddr.v 10 0 0 9)
+          ~target_ip:ip_a)
+   with
+  | Learned ip ->
+      Alcotest.(check bool) "learned, nothing owed" true
+        (Proto.Ipaddr.equal ip (Proto.Ipaddr.v 10 0 0 9))
+  | _ -> Alcotest.fail "request for another host answered");
+  match Proto.Arp.answer c ~now:Sim.Stime.zero ~ip:ip_b ~mac:mac_b (View.of_string "x") with
+  | Ignored -> ()
+  | _ -> Alcotest.fail "garbage not ignored"
+
+let suite =
+  suite
+  @ [
+      ( "proto.wire_core",
+        [
+          tc "receive verdicts" ip_receive_verdicts;
+          tc "receive reassembles" ip_receive_reassembles;
+          tc "clashing fragments dropped" ip_receive_clashing_fragments;
+          prop ip_output_roundtrip;
+          tc "packet_count at the MTU" ip_packet_count_at_mtu;
+          tc "route" ip_route;
+          tc "arp answer" arp_answer;
+        ] );
+    ]
